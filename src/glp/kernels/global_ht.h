@@ -30,7 +30,9 @@ struct GlobalHtArena {
   }
 
   /// Sizes regions for `vertices`: 2x degree rounded up to a 32-slot
-  /// multiple (warp-aligned scans), min 32.
+  /// multiple (warp-aligned scans), min 32. Every region therefore starts at
+  /// a 128B multiple of the arena, which keeps the kernel's interior region
+  /// pointers 32B-aligned as the device address model requires (sim/warp.h).
   void Build(const graph::Graph& g,
              const std::vector<graph::VertexId>& vertices) {
     offsets.resize(vertices.size());
