@@ -12,7 +12,7 @@
 #pragma once
 
 #include <atomic>
-#include <vector>
+#include <span>
 
 #include "glp/kernels/common.h"
 #include "glp/run.h"
@@ -24,6 +24,15 @@ namespace glp::lp {
 
 /// Per-row CMS seeds are fixed so results are reproducible.
 inline constexpr uint64_t kCmsSeedBase = 0xc3a5c85c97cb3127ULL;
+
+/// ThreadScratch slots of the high-degree kernel's per-block host state.
+enum HighDegreeScratch : int {
+  kHtCandidates,    ///< per-thread best HT-counted candidate
+  kCmsCandidates,   ///< per-thread best CMS-estimated candidate
+  kGhtCandidates,   ///< per-thread best exact-recount candidate
+  kGhtKeys,         ///< fallback global hash table: keys
+  kGhtCounts,       ///< fallback global hash table: counts
+};
 
 /// Runs one LabelPropagation pass over `vertices`, one block per vertex,
 /// using the CMS+HT shared-memory strategy. `fallback_count`, if non-null,
@@ -66,18 +75,18 @@ sim::KernelStats RunHighDegreeBlockKernel(
         const int lanes = std::min(sim::kWarpSize, h - base);
         w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
                                             : ((1u << lanes) - 1u));
-        sim::LaneArray<int> idx;
-        sim::ForEachLane(w.active(), [&](int l) { idx[l] = base + l; });
         sim::LaneArray<graph::Label> inv(graph::kInvalidLabel);
-        w.SharedStore(ht_keys, idx, inv);
+        w.SharedStoreContig(ht_keys, base, inv);
       }
     });
     blk.Sync();
 
     // --- Phase 1: single scan of the neighbor list (Procedure 1, lines
     // 1-10), threads strided across the list. ---
-    std::vector<Candidate> ht_cand(threads);
-    std::vector<Candidate> cm_cand(threads);
+    const std::span<Candidate> ht_cand =
+        blk.scratch().Get(kHtCandidates, threads, Candidate{});
+    const std::span<Candidate> cm_cand =
+        blk.scratch().Get(kCmsCandidates, threads, Candidate{});
 
     blk.ForEachWarp([&](sim::Warp& w) {
       for (int64_t base = static_cast<int64_t>(w.warp_id()) * sim::kWarpSize;
@@ -167,16 +176,17 @@ sim::KernelStats RunHighDegreeBlockKernel(
       }
       int ghtc = 64;
       while (ghtc < 2 * degree) ghtc <<= 1;
-      thread_local std::vector<graph::Label> ght_keys;
-      thread_local std::vector<float> ght_counts;
-      ght_keys.assign(ghtc, graph::kInvalidLabel);
-      ght_counts.assign(ghtc, 0.0f);
+      const std::span<graph::Label> ght_keys =
+          blk.scratch().Get(kGhtKeys, ghtc, graph::kInvalidLabel);
+      const std::span<float> ght_counts =
+          blk.scratch().Get(kGhtCounts, ghtc, 0.0f);
       // Charge the GHT memset a real kernel would issue.
       blk.stats()->global_transactions +=
           (static_cast<uint64_t>(ghtc) * 8 + 31) / 32;
       blk.stats()->global_bytes_requested += static_cast<uint64_t>(ghtc) * 8;
 
-      std::vector<Candidate> gt_cand(threads);
+      const std::span<Candidate> gt_cand =
+          blk.scratch().Get(kGhtCandidates, threads, Candidate{});
       blk.ForEachWarp([&](sim::Warp& w) {
         for (int64_t base =
                  static_cast<int64_t>(w.warp_id()) * sim::kWarpSize;

@@ -40,8 +40,9 @@ KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
   auto run_range = [&](int64_t lo, int64_t hi) {
     KernelStats local;
     SharedMemory shared(props.shared_mem_per_block);
+    ThreadScratch scratch;
     for (int64_t b = lo; b < hi; ++b) {
-      Block blk(b, cfg.threads_per_block, &shared, &local);
+      Block blk(b, cfg.threads_per_block, &shared, &local, &scratch);
       kernel(blk);
     }
     std::lock_guard<std::mutex> lock(merge_mu);
