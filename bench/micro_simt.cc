@@ -14,13 +14,16 @@ namespace {
 
 using namespace glp::sim;
 
+// Arg = number of equality groups among the 32 lanes (lanes interleaved
+// across groups, so no group is a contiguous run).
 void BM_MatchAnySync(benchmark::State& state) {
   KernelStats stats;
   Warp w(0, kFullMask, &stats);
   LaneArray<uint32_t> v;
   glp::Rng rng(1);
+  const uint32_t salt = static_cast<uint32_t>(rng.Next());
   for (int i = 0; i < kWarpSize; ++i) {
-    v[i] = static_cast<uint32_t>(rng.Bounded(state.range(0)));
+    v[i] = salt + static_cast<uint32_t>(i % state.range(0));
   }
   for (auto _ : state) {
     benchmark::DoNotOptimize(w.MatchAnySync(v));
@@ -55,6 +58,23 @@ void BM_GatherContiguous(benchmark::State& state) {
 }
 BENCHMARK(BM_GatherContiguous);
 
+// 17 of 32 lanes active: the tail round of a neighbor-list scan.
+void BM_GatherContigPartial(benchmark::State& state) {
+  KernelStats stats;
+  Warp w(0, (1u << 17) - 1u, &stats);
+  std::vector<uint32_t> data(1 << 16);
+  std::iota(data.begin(), data.end(), 0u);
+  int64_t off = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        w.GatherContig(data.data(), (off += 37) & 0xffff & ~63));
+  }
+  state.SetItemsProcessed(state.iterations() * 17);
+}
+BENCHMARK(BM_GatherContigPartial);
+
+// Random gather: 32 uniform indices over 64K elements (the labels[nbr]
+// gather of every LP kernel).
 void BM_GatherScattered(benchmark::State& state) {
   KernelStats stats;
   Warp w(0, kFullMask, &stats);
@@ -70,6 +90,38 @@ void BM_GatherScattered(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kWarpSize);
 }
 BENCHMARK(BM_GatherScattered);
+
+// Arg = lane stride in words: 1 is conflict-free, 2 a two-way conflict on
+// every bank (exact per-bank count path).
+void BM_SharedLoad(benchmark::State& state) {
+  KernelStats stats;
+  SharedMemory smem(1 << 16);
+  auto arr = smem.Alloc<uint32_t>(2048);
+  Warp w(0, kFullMask, &stats);
+  LaneArray<int> idx;
+  for (int i = 0; i < kWarpSize; ++i) {
+    idx[i] = i * static_cast<int>(state.range(0));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.SharedLoad(arr, idx));
+  }
+  state.SetItemsProcessed(state.iterations() * kWarpSize);
+}
+BENCHMARK(BM_SharedLoad)->Arg(1)->Arg(2);
+
+// Stride-1 load through the closed-form charge (hash-table scans).
+void BM_SharedLoadContig(benchmark::State& state) {
+  KernelStats stats;
+  SharedMemory smem(1 << 16);
+  auto arr = smem.Alloc<uint32_t>(2048);
+  Warp w(0, kFullMask, &stats);
+  int64_t base = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(w.SharedLoadContig(arr, (base += 32) & 1023));
+  }
+  state.SetItemsProcessed(state.iterations() * kWarpSize);
+}
+BENCHMARK(BM_SharedLoadContig);
 
 void BM_SharedAtomicAdd(benchmark::State& state) {
   KernelStats stats;

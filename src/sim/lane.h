@@ -59,9 +59,15 @@ struct LaneArray {
   void Fill(T x) { v.fill(x); }
 };
 
-/// Applies fn(lane) to every lane in `mask`, in lane order.
+/// Applies fn(lane) to every lane in `mask`, in lane order. A full mask
+/// runs a plain counted loop, which the compiler can unroll and vectorize;
+/// a partial one walks its set bits.
 template <typename Fn>
 inline void ForEachLane(LaneMask mask, Fn&& fn) {
+  if (mask == kFullMask) {
+    for (int lane = 0; lane < kWarpSize; ++lane) fn(lane);
+    return;
+  }
   while (mask != 0) {
     const int lane = std::countr_zero(mask);
     fn(lane);
