@@ -30,7 +30,6 @@
 #include "serve/net/client.h"
 #include "serve/net/ingest_service.h"
 #include "serve/server.h"
-#include "serve/sharded_server.h"
 #include "serve/wal.h"
 
 namespace {
@@ -65,15 +64,15 @@ ModeResult ReplayStream(const pipeline::TransactionStream& stream,
   if (trace != nullptr) cfg.trace = *trace;
 
   ModeResult out;
-  serve::StreamServer server(cfg);
-  server.Subscribe([&](const serve::TickResult& t) {
+  std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, 1);
+  server->Subscribe([&](const serve::TickResult& t) {
     out.total_wall += t.tick_wall_seconds;
     out.total_simulated += t.detection.lp.simulated_seconds;
     out.total_iterations += t.detection.lp.iterations;
     ++out.ticks;
     out.f1_sum += t.detection.confirmed_metrics.F1();
   });
-  GLP_CHECK(server.Start().ok());
+  GLP_CHECK(server->Start().ok());
 
   std::vector<graph::TimedEdge> ordered = stream.edges;
   std::sort(ordered.begin(), ordered.end(), graph::CanonicalEdgeLess);
@@ -83,12 +82,12 @@ ModeResult ReplayStream(const pipeline::TransactionStream& stream,
     std::vector<graph::TimedEdge> batch(
         ordered.begin() + static_cast<ptrdiff_t>(pos),
         ordered.begin() + static_cast<ptrdiff_t>(pos + n));
-    GLP_CHECK(server.Ingest(std::move(batch)));
+    GLP_CHECK(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  out.stats = server.stats();
-  server.Stop();
-  GLP_CHECK(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  out.stats = server->stats();
+  server->Stop();
+  GLP_CHECK(server->last_error().ok()) << server->last_error().ToString();
   return out;
 }
 
@@ -160,25 +159,25 @@ TickSeries ReplayTenantStream(const MultiTenantStream& stream, int iterations,
   cfg.tick.cold_refresh_every_ticks = 0;  // pure modes: no weekly refresh
 
   TickSeries out;
-  serve::StreamServer server(cfg);
-  server.Subscribe([&](const serve::TickResult& t) {
+  std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, 1);
+  server->Subscribe([&](const serve::TickResult& t) {
     out.wall.push_back(t.tick_wall_seconds);
     out.sim.push_back(t.detection.lp.simulated_seconds);
     out.total_iterations += t.detection.lp.iterations;
   });
-  GLP_CHECK(server.Start().ok());
+  GLP_CHECK(server->Start().ok());
   const size_t batch_size = 4000;
   for (size_t pos = 0; pos < stream.edges.size(); pos += batch_size) {
     const size_t n = std::min(batch_size, stream.edges.size() - pos);
     std::vector<graph::TimedEdge> batch(
         stream.edges.begin() + static_cast<ptrdiff_t>(pos),
         stream.edges.begin() + static_cast<ptrdiff_t>(pos + n));
-    GLP_CHECK(server.Ingest(std::move(batch)));
+    GLP_CHECK(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  out.stats = server.stats();
-  server.Stop();
-  GLP_CHECK(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  out.stats = server->stats();
+  server->Stop();
+  GLP_CHECK(server->last_error().ok()) << server->last_error().ToString();
   return out;
 }
 
@@ -206,25 +205,25 @@ ShardResult ReplaySharded(const MultiTenantStream& stream, int shards,
   cfg.tick.warm_start = false;  // cold ticks: shard counts do identical LP work
 
   ShardResult out;
-  serve::ShardedStreamServer server(cfg, shards);
-  server.Subscribe([&](const serve::TickResult& t) {
+  std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, shards);
+  server->Subscribe([&](const serve::TickResult& t) {
     out.total_tick_wall += t.tick_wall_seconds;
     out.total_tick_device += t.detection.lp.simulated_seconds;
     ++out.ticks;
   });
-  GLP_CHECK(server.Start().ok());
+  GLP_CHECK(server->Start().ok());
   const size_t batch_size = 4000;
   for (size_t pos = 0; pos < stream.edges.size(); pos += batch_size) {
     const size_t n = std::min(batch_size, stream.edges.size() - pos);
     std::vector<graph::TimedEdge> batch(
         stream.edges.begin() + static_cast<ptrdiff_t>(pos),
         stream.edges.begin() + static_cast<ptrdiff_t>(pos + n));
-    GLP_CHECK(server.Ingest(std::move(batch)));
+    GLP_CHECK(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  out.stats = server.stats();
-  server.Stop();
-  GLP_CHECK(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  out.stats = server->stats();
+  server->Stop();
+  GLP_CHECK(server->last_error().ok()) << server->last_error().ToString();
   return out;
 }
 
@@ -260,8 +259,8 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
   out.to = to;
   bool resized = false;
   double wall_before = 0, wall_after = 0;
-  serve::ShardedStreamServer server(cfg, from);
-  server.Subscribe([&](const serve::TickResult& t) {
+  std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, from);
+  server->Subscribe([&](const serve::TickResult& t) {
     if (resized) {
       wall_after += t.tick_wall_seconds;
       ++out.ticks_after;
@@ -270,16 +269,16 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
       ++out.ticks_before;
     }
   });
-  GLP_CHECK(server.Start().ok());
+  GLP_CHECK(server->Start().ok());
   const size_t batch_size = 4000;
   const size_t half_edges = stream.edges.size() / 2;
   for (size_t pos = 0; pos < stream.edges.size(); pos += batch_size) {
     if (!resized && pos >= half_edges) {
       // Drain the queue first so the pause measures the migration itself,
       // not the detection backlog in front of it.
-      server.Flush();
+      server->Flush();
       const auto t0 = std::chrono::steady_clock::now();
-      GLP_CHECK(server.Resize(to).ok());
+      GLP_CHECK(server->Resize(to).ok());
       out.migration_pause_seconds =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
               .count();
@@ -289,11 +288,11 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
     std::vector<graph::TimedEdge> batch(
         stream.edges.begin() + static_cast<ptrdiff_t>(pos),
         stream.edges.begin() + static_cast<ptrdiff_t>(pos + n));
-    GLP_CHECK(server.Ingest(std::move(batch)));
+    GLP_CHECK(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  GLP_CHECK(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  GLP_CHECK(server->last_error().ok()) << server->last_error().ToString();
   out.avg_tick_wall_before =
       out.ticks_before > 0 ? wall_before / static_cast<double>(out.ticks_before)
                            : 0;
@@ -305,7 +304,7 @@ ReshardResult ReplayReshard(const MultiTenantStream& stream, int from, int to,
 
 // --- Network ingest load (DESIGN.md §4.11) ---
 //
-// One IngestService over a single warm StreamServer, driven by `tenants`
+// One IngestService over a single warm 1-shard server, driven by `tenants`
 // concurrent client connections — one per tenant, each replaying its own
 // Zipf-sized stream (tenant k carries ~1/k of the head tenant's edges, the
 // canonical skew of real multi-tenant fleets). Measures wire-path ingest
@@ -479,8 +478,8 @@ WalOverheadResult ReplayWalIngest(const pipeline::TransactionStream& stream,
     cfg.durability.fsync_every_batches = fsync_every;
   }
 
-  serve::StreamServer server(cfg);
-  GLP_CHECK(server.Start().ok());
+  std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, 1);
+  GLP_CHECK(server->Start().ok());
   std::vector<graph::TimedEdge> ordered = stream.edges;
   std::sort(ordered.begin(), ordered.end(), graph::CanonicalEdgeLess);
   WalOverheadResult out;
@@ -493,20 +492,20 @@ WalOverheadResult ReplayWalIngest(const pipeline::TransactionStream& stream,
     std::vector<graph::TimedEdge> batch(
         ordered.begin() + static_cast<ptrdiff_t>(pos),
         ordered.begin() + static_cast<ptrdiff_t>(pos + n));
-    GLP_CHECK(server.Ingest(std::move(batch)));
+    GLP_CHECK(server->Ingest(std::move(batch)));
   }
-  server.Flush();
+  server->Flush();
   out.ingest_wall = std::chrono::duration<double>(
                         std::chrono::steady_clock::now() - t0)
                         .count();
-  if (server.wal() != nullptr) {
-    const serve::wal::WalStats ws = server.wal()->stats();
+  if (server->wal() != nullptr) {
+    const serve::wal::WalStats ws = server->wal()->stats();
     out.fsyncs = ws.fsyncs;
     out.wal_bytes = ws.bytes_appended;
     out.segments = ws.segments;
   }
-  server.Stop();
-  GLP_CHECK(server.last_error().ok()) << server.last_error().ToString();
+  server->Stop();
+  GLP_CHECK(server->last_error().ok()) << server->last_error().ToString();
   if (!wal_dir.empty()) std::filesystem::remove_all(wal_dir);
   out.edges_per_sec =
       out.ingest_wall > 0
@@ -662,7 +661,7 @@ int main(int argc, char** argv) {
       "equals a one-shot pipeline run given the\n same initial labels — see "
       "tests/serve_test.cc.)\n");
 
-  // --- Shard scale-out: ShardedStreamServer over a multi-tenant stream ---
+  // --- Shard scale-out: N-shard servers over a multi-tenant stream ---
   const auto tenants = MakeMultiTenantStream(/*tenants=*/16, flags.scale,
                                              flags.seed);
   std::printf(

@@ -90,13 +90,22 @@ WindowSnapshot SlidingWindow::Snapshot(double start_time, double end_time,
 WindowSnapshot SlidingWindow::SnapshotRange(size_t begin_idx, size_t end_idx,
                                             Scratch* scratch,
                                             bool collapse) const {
+  return SnapshotOfEdges(
+      std::span<const TimedEdge>(edges_.data() + begin_idx,
+                                 end_idx - begin_idx),
+      static_cast<size_t>(max_entity_) + 1, scratch, collapse);
+}
+
+WindowSnapshot SnapshotOfEdges(std::span<const TimedEdge> edges,
+                               size_t universe, SlidingWindow::Scratch* scratch,
+                               bool collapse) {
   WindowSnapshot snap;
   // Dense epoch-stamped remap over the known entity universe — O(1) per
   // edge with O(1) reset between windows, much faster than hashing for the
   // production-sized streams of Table 4.
-  if (scratch->epoch_of.size() < static_cast<size_t>(max_entity_) + 1) {
-    scratch->epoch_of.assign(static_cast<size_t>(max_entity_) + 1, 0);
-    scratch->local_of.resize(static_cast<size_t>(max_entity_) + 1);
+  if (scratch->epoch_of.size() < universe) {
+    scratch->epoch_of.assign(universe, 0);
+    scratch->local_of.resize(universe);
     scratch->epoch = 0;
   }
   if (++scratch->epoch == 0) {  // stamp wrap
@@ -115,9 +124,9 @@ WindowSnapshot SlidingWindow::SnapshotRange(size_t begin_idx, size_t end_idx,
   };
 
   std::vector<Edge> local;
-  local.reserve(end_idx - begin_idx);
-  for (size_t i = begin_idx; i < end_idx; ++i) {
-    local.push_back({intern(edges_[i].src), intern(edges_[i].dst)});
+  local.reserve(edges.size());
+  for (const TimedEdge& e : edges) {
+    local.push_back({intern(e.src), intern(e.dst)});
   }
 
   GraphBuilder builder(static_cast<VertexId>(snap.local_to_global.size()));

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/csr.h"
@@ -121,6 +122,14 @@ class SlidingWindow {
   std::vector<AppendRecord> append_log_;
   uint64_t log_covered_from_ = 0;
 };
+
+/// Builds the compacted, symmetrized snapshot graph over `edges`: local ids
+/// follow first appearance, entity ids must be < `universe`. The one
+/// snapshot builder behind SlidingWindow::SnapshotRange; the sharded server
+/// calls it directly on an owner's merged canonical edge list.
+WindowSnapshot SnapshotOfEdges(std::span<const TimedEdge> edges,
+                               size_t universe, SlidingWindow::Scratch* scratch,
+                               bool collapse = false);
 
 /// \brief What one window advance changed, as half-open edge-index ranges
 /// into the *current* stream array.

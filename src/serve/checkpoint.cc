@@ -481,50 +481,6 @@ Status PruneShardCheckpoints(const std::string& dir, int keep,
   return first_error;
 }
 
-Status PruneCheckpoints(const std::string& dir, int keep) {
-  return PruneCheckpoints(dir, keep, /*wal_dir=*/"");
-}
-
-Status PruneCheckpoints(const std::string& dir, int keep,
-                        const std::string& wal_dir) {
-  std::error_code ec;
-  std::filesystem::directory_iterator it(dir, ec);
-  if (ec) {
-    return Status::IoError("cannot list checkpoint dir " + dir + ": " +
-                           ec.message());
-  }
-  std::vector<std::string> candidates;
-  for (const auto& entry : it) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("checkpoint-", 0) == 0 &&
-        name.size() > 5 && name.substr(name.size() - 5) == ".ckpt") {
-      candidates.push_back(entry.path().string());
-    }
-  }
-  std::sort(candidates.rbegin(), candidates.rend());
-  size_t effective_keep = static_cast<size_t>(std::max(keep, 0));
-  if (!wal_dir.empty() && wal::WalDirHasSegments(wal_dir)) {
-    // Surviving WAL segments replay on top of the newest checkpoint; it
-    // must outlive them even at keep=0.
-    effective_keep = std::max<size_t>(effective_keep, 1);
-  }
-  // Only files that actually load occupy keep slots: a torn newest file
-  // must not shield real state from deletion (or, with keep=1, cause the
-  // only loadable checkpoint to be pruned).
-  Status first_error = Status::OK();
-  size_t kept = 0;
-  for (const std::string& path : candidates) {
-    if (kept < effective_keep && LoadCheckpoint(path).ok()) {
-      ++kept;
-      continue;
-    }
-    if (std::remove(path.c_str()) != 0 && first_error.ok()) {
-      first_error = Status::IoError("cannot delete " + path);
-    }
-  }
-  return first_error;
-}
-
 // ---------------------------------------------------------------------------
 // Shape-independent (portable) checkpoint view
 // ---------------------------------------------------------------------------
@@ -556,8 +512,8 @@ PortableCheckpoint FlattenShardedCheckpoint(ShardedCheckpoint cp) {
   // Warm state: the coordinator stores entity→anchor pairs (prev_l2g =
   // sorted entities, prev_labels = each entity's anchor entity). The flat
   // encoding wants prev_labels to be an *index* into prev_l2g whose entry
-  // is the anchor. Both encodings induce the same anchor function through
-  // MapWarmLabels, so warm continuity survives the conversion.
+  // is the anchor. Restore decodes both to the same entity→anchor map, so
+  // warm continuity survives the conversion.
   if (out.data.have_prev) {
     const std::vector<graph::VertexId>& ents = out.data.prev_l2g;
     for (graph::Label& lab : out.data.prev_labels) {

@@ -10,6 +10,11 @@
 // Load rejects truncation and corruption with IoError, and
 // LatestCheckpoint skips unreadable files so a torn newest checkpoint
 // falls back to the one before it.
+//
+// The server writes fleet snapshots (a manifest sealing one flat file per
+// shard plus a coordinator file, below). A directory of single flat
+// checkpoint files — what one-shard deployments wrote before every fleet
+// size shared one server — still restores through the portable loader.
 
 #pragma once
 
@@ -53,7 +58,7 @@ struct CheckpointData {
   /// each window entity to its component's label anchor entity, which is
   /// how clean components keep their labels across a kill/restore. The
   /// union-find itself is not serialized — restore rebuilds it
-  /// deterministically from `edges` (RebuildClean), so the pair round-trips
+  /// deterministically from `edges` (a clean rebuild), so the pair round-trips
   /// the complete persistent incremental state. v1 files load with these
   /// left empty (first post-restore tick rebuilds from scratch).
   bool has_incremental = false;
@@ -90,23 +95,8 @@ std::string CheckpointFileName(int64_t tick);
 /// validation). NotFound when the directory holds none.
 Result<std::string> LatestCheckpoint(const std::string& dir);
 
-/// Deletes all but the `keep` newest *loadable* checkpoint files in `dir`
-/// (by name order). Unreadable/torn files never occupy keep slots and are
-/// always deleted, so a directory of garbage converges to empty instead of
-/// shielding it; keep <= 0 deletes every checkpoint file. Best-effort;
-/// returns the first deletion error, if any.
-Status PruneCheckpoints(const std::string& dir, int keep);
-
-/// WAL-aware variant: when `wal_dir` holds any WAL segments, at least one
-/// loadable checkpoint is retained regardless of `keep` — the newest
-/// loadable file is the replay base those segments depend on, and deleting
-/// it would turn an exact recovery into a full-stream replay (or a data
-/// loss if early segments were already pruned).
-Status PruneCheckpoints(const std::string& dir, int keep,
-                        const std::string& wal_dir);
-
 // ---------------------------------------------------------------------------
-// Sharded-fleet checkpoints (serve::ShardedStreamServer)
+// Fleet checkpoints (serve::Server)
 // ---------------------------------------------------------------------------
 //
 // A sharded checkpoint is N+2 files: one CheckpointData per shard (that
@@ -174,8 +164,11 @@ Result<ShardedCheckpoint> LatestShardedCheckpoint(const std::string& dir);
 /// belonging to a deleted manifest's tick. Best-effort.
 Status PruneShardCheckpoints(const std::string& dir, int keep);
 
-/// WAL-aware variant (same contract as the single-server overload): keeps
-/// at least the newest manifest while `wal_dir` holds WAL segments.
+/// WAL-aware variant: keeps at least the newest manifest while `wal_dir`
+/// holds WAL segments — the newest snapshot is the replay base those
+/// segments depend on, and deleting it would turn an exact recovery into a
+/// full-stream replay (or a data loss if early segments were already
+/// pruned).
 Status PruneShardCheckpoints(const std::string& dir, int keep,
                              const std::string& wal_dir);
 
@@ -183,7 +176,7 @@ Status PruneShardCheckpoints(const std::string& dir, int keep,
 // Shape-independent (portable) checkpoint view — DESIGN.md §4.14
 // ---------------------------------------------------------------------------
 
-/// A checkpoint re-expressed in the flat single-server representation,
+/// A checkpoint re-expressed in the flat single-file representation,
 /// regardless of the fleet shape that wrote it. This is what makes
 /// checkpoints portable across fleet sizes: any server can consume `data`
 /// by routing `data.edges` under its own partition map.
@@ -192,7 +185,7 @@ struct PortableCheckpoint {
   /// canonical stream — each shard window filtered to the edges that
   /// shard *owns* under the manifest's partition map (mirrors dropped),
   /// then merged back into canonical order, which reproduces the
-  /// single-server stream byte-identically. Warm-start state is converted
+  /// one-shard stream byte-identically. Warm-start state is converted
   /// from the coordinator's entity→anchor pairs to the flat
   /// prev_l2g/prev_labels encoding; the anchor function both encodings
   /// induce is identical. wal_epoch folds in the manifest fencing epoch.

@@ -200,13 +200,6 @@ void IncrementalTracker::RebuildAll(const std::vector<TimedEdge>& edges,
   FinishRebuild(/*mark_all_dirty=*/true);
 }
 
-void IncrementalTracker::RebuildClean(const std::vector<TimedEdge>& edges,
-                                      size_t lo, size_t hi) {
-  BeginRebuild();
-  AddWindowRange(edges, lo, hi);
-  FinishRebuild(/*mark_all_dirty=*/false);
-}
-
 void IncrementalTracker::ExportDirty(size_t universe,
                                      std::vector<uint8_t>* flags) {
   flags->assign(universe, 1);

@@ -20,7 +20,7 @@ namespace glp::serve {
 ///
 /// Presence is tracked by window edge-endpoint degree: an entity with no
 /// window edges is not in any component. Each operation (ApplyDelta /
-/// RebuildAll / RebuildClean) starts a fresh tick epoch and leaves behind
+/// RebuildAll / a phased tick or rebuild) starts a fresh tick epoch and leaves behind
 /// the canonical set of *dirty* component roots — components whose edge
 /// set changed this tick and therefore need LP re-run. The eviction rule:
 /// a component that lost any window edge is reset to singletons and
@@ -43,13 +43,8 @@ class IncrementalTracker {
   void RebuildAll(const std::vector<graph::TimedEdge>& edges, size_t lo,
                   size_t hi);
 
-  /// Rebuilds connectivity with *nothing* dirty — checkpoint restore,
-  /// where the previous tick's labels are already authoritative.
-  void RebuildClean(const std::vector<graph::TimedEdge>& edges, size_t lo,
-                    size_t hi);
-
   // -------------------------------------------------------------------------
-  // Phased multi-window variants — the sharded fleet feeds one tracker from
+  // Phased multi-window variants — the server feeds one tracker from
   // N per-shard windows (owned edges plus mirrors; a mirrored copy just
   // double-counts an endpoint degree, which cancels because both copies
   // appear and expire together). One tick is
@@ -75,8 +70,9 @@ class IncrementalTracker {
   void FinishTick();
 
   /// Multi-window rebuild: BeginRebuild -> AddWindowRange per window ->
-  /// FinishRebuild. `mark_all_dirty` selects RebuildAll vs RebuildClean
-  /// semantics.
+  /// FinishRebuild. `mark_all_dirty` selects RebuildAll semantics; without
+  /// it nothing is dirty — checkpoint restore and resize, where the
+  /// previous tick's labels are already authoritative.
   void BeginRebuild();
   void AddWindowRange(const std::vector<graph::TimedEdge>& edges, size_t lo,
                       size_t hi);
@@ -85,7 +81,7 @@ class IncrementalTracker {
   /// Writes IsDirty(e) for every entity in [0, universe) into `flags`
   /// (assigned/resized). One single-threaded pass with path compression, so
   /// concurrent readers of the result never race on Find's path halving —
-  /// the sharded server snapshots this before fanning detection out.
+  /// the server snapshots this before fanning detection out.
   void ExportDirty(size_t universe, std::vector<uint8_t>* flags);
 
   /// True when the entity has at least one edge in the current window.

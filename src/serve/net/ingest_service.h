@@ -1,8 +1,8 @@
 // serve::net::IngestService — the network front door of the serving layer
 // (DESIGN.md §4.11).
 //
-// Wraps any serve::Server (1-shard or sharded — the interface hides it)
-// behind an HTTP/1.1 ingest API on obs::HttpServer:
+// Wraps a serve::Server (any shard count) behind an HTTP/1.1 ingest API on
+// obs::HttpServer:
 //
 //   POST /v1/ingest   batch body (binary or ndjson, see wire.h), bearer
 //                     token per tenant. Admission ladder:
@@ -43,7 +43,7 @@
 
 #include "obs/http.h"
 #include "serve/net/tenant.h"
-#include "serve/server_iface.h"
+#include "serve/server.h"
 #include "util/status.h"
 
 namespace glp::serve::net {

@@ -30,7 +30,7 @@
 #include <thread>
 
 #include "obs/http.h"
-#include "serve/server_iface.h"
+#include "serve/server.h"
 #include "serve/wal.h"
 #include "util/status.h"
 

@@ -98,8 +98,8 @@ std::map<int64_t, TickObservation> RunAndObserve(const ServerConfig& cfg,
                                                  const std::vector<TimedEdge>&
                                                      ordered) {
   std::map<int64_t, TickObservation> out;
-  StreamServer server(cfg);
-  server.Subscribe([&](const TickResult& t) {
+  auto server = MakeServer(cfg, 1);
+  server->Subscribe([&](const TickResult& t) {
     TickObservation obs;
     obs.labels = t.detection.lp.labels;
     for (const auto& c : t.detection.clusters) {
@@ -107,13 +107,13 @@ std::map<int64_t, TickObservation> RunAndObserve(const ServerConfig& cfg,
     }
     out[TickKey(t.window_end)] = std::move(obs);
   });
-  EXPECT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    EXPECT_TRUE(server.Ingest(std::move(batch)));
+    EXPECT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   return out;
 }
 
@@ -165,8 +165,8 @@ TEST_F(ChaosTest, TransientFaultsAreRetriedWithoutOutputDivergence) {
   std::map<int64_t, TickObservation> got;
   ServerStats stats;
   {
-    StreamServer server(cfg);
-    server.Subscribe([&](const TickResult& t) {
+    auto server = MakeServer(cfg, 1);
+    server->Subscribe([&](const TickResult& t) {
       TickObservation obs;
       obs.labels = t.detection.lp.labels;
       for (const auto& c : t.detection.clusters) {
@@ -174,15 +174,15 @@ TEST_F(ChaosTest, TransientFaultsAreRetriedWithoutOutputDivergence) {
       }
       got[TickKey(t.window_end)] = std::move(obs);
     });
-    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(server->Start().ok());
     for (auto& batch : BatchEdges(ordered, 1000)) {
-      ASSERT_TRUE(server.Ingest(std::move(batch)));
+      ASSERT_TRUE(server->Ingest(std::move(batch)));
     }
-    server.Flush();
-    stats = server.stats();
-    server.Stop();
+    server->Flush();
+    stats = server->stats();
+    server->Stop();
     // Transient faults absorbed by retries are not recorded as errors.
-    EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+    EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   }
 
   EXPECT_GE(stats.tick_retries, 1);
@@ -210,19 +210,19 @@ TEST_F(ChaosTest, PersistentEngineFaultFallsBackToCpu) {
   ASSERT_TRUE(reg.Parse("lp.engine.glp=error(internal)").ok());
 
   int ticks_seen = 0;
-  StreamServer server(cfg);
-  server.Subscribe([&](const TickResult& t) {
+  auto server = MakeServer(cfg, 1);
+  server->Subscribe([&](const TickResult& t) {
     if (t.detection.window_vertices > 0) ++ticks_seen;
   });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
 
-  EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   EXPECT_GE(ticks_seen, 4);
   EXPECT_EQ(stats.ticks_failed, 0);
   // Every non-empty tick burned its non-fallback attempts, then succeeded
@@ -243,8 +243,8 @@ TEST_F(ChaosTest, FatalFaultWakesBlockedProducersAndKillsServer) {
   auto& reg = fail::FailpointRegistry::Global();
   ASSERT_TRUE(reg.Parse("serve.tick=error(invalid)").ok());
 
-  StreamServer server(cfg);
-  ASSERT_TRUE(server.Start().ok());
+  auto server = MakeServer(cfg, 1);
+  ASSERT_TRUE(server->Start().ok());
   std::atomic<bool> rejected{false};
   std::vector<std::thread> producers;
   auto batches = BatchEdges(ordered, 200);
@@ -254,7 +254,7 @@ TEST_F(ChaosTest, FatalFaultWakesBlockedProducersAndKillsServer) {
       const size_t lo = static_cast<size_t>(p) * per_producer;
       const size_t hi = std::min(batches.size(), lo + per_producer);
       for (size_t i = lo; i < hi; ++i) {
-        if (!server.Ingest(std::move(batches[i]))) {
+        if (!server->Ingest(std::move(batches[i]))) {
           rejected.store(true);
           return;
         }
@@ -263,14 +263,14 @@ TEST_F(ChaosTest, FatalFaultWakesBlockedProducersAndKillsServer) {
   }
   for (auto& t : producers) t.join();
   // Flush must not hang on a dead loop either.
-  server.Flush();
+  server->Flush();
 
   EXPECT_TRUE(rejected.load());
-  EXPECT_FALSE(server.running());
-  EXPECT_EQ(server.last_error().code(), StatusCode::kInvalidArgument)
-      << server.last_error().ToString();
-  EXPECT_FALSE(server.Ingest({{1, 2, 0.5}}));
-  server.Stop();
+  EXPECT_FALSE(server->running());
+  EXPECT_EQ(server->last_error().code(), StatusCode::kInvalidArgument)
+      << server->last_error().ToString();
+  EXPECT_FALSE(server->Ingest({{1, 2, 0.5}}));
+  server->Stop();
 }
 
 TEST_F(ChaosTest, OverloadShedsOverdueTicksBoundedly) {
@@ -282,17 +282,17 @@ TEST_F(ChaosTest, OverloadShedsOverdueTicksBoundedly) {
   cfg.resilience.degraded_iteration_cap = 2;
 
   std::vector<double> tick_ends;
-  StreamServer server(cfg);
-  server.Subscribe(
+  auto server = MakeServer(cfg, 1);
+  server->Subscribe(
       [&](const TickResult& t) { tick_ends.push_back(t.window_end); });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 2000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   ASSERT_FALSE(tick_ends.empty());
 
   // Under overload the server sheds (visibly) instead of queueing ticks
@@ -330,19 +330,19 @@ TEST_F(ChaosTest, KillRestoreReplayMatchesUninterruptedRun) {
   cfg_a.checkpoint.every_ticks = 2;
   int64_t a_ticks = 0;
   {
-    StreamServer server(cfg_a);
-    server.Subscribe([&](const TickResult&) { ++a_ticks; });
-    ASSERT_TRUE(server.Start().ok());
+    auto server = MakeServer(cfg_a, 1);
+    server->Subscribe([&](const TickResult&) { ++a_ticks; });
+    ASSERT_TRUE(server->Start().ok());
     auto batches = BatchEdges(ordered, 1000);
     const size_t half = batches.size() / 2;
     for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+      ASSERT_TRUE(server->Ingest(std::move(batches[i])));
     }
-    server.Flush();
-    const ServerStats stats = server.stats();
+    server->Flush();
+    const ServerStats stats = server->stats();
     EXPECT_GE(stats.checkpoints_written, 1);
     EXPECT_EQ(stats.checkpoint_failures, 0);
-    server.Stop();  // "kill": everything after the last checkpoint is lost
+    server->Stop();  // "kill": everything after the last checkpoint is lost
   }
   ASSERT_GE(a_ticks, 2);
 
@@ -350,10 +350,10 @@ TEST_F(ChaosTest, KillRestoreReplayMatchesUninterruptedRun) {
   // the returned edge index, and compare every subsequent tick against the
   // uninterrupted baseline.
   ServerConfig cfg_b = cfg;  // no checkpointing on the restored run
-  StreamServer server(cfg_b);
+  auto server = MakeServer(cfg_b, 1);
   std::map<int64_t, TickObservation> got;
   int64_t first_restored_tick = -1;
-  server.Subscribe([&](const TickResult& t) {
+  server->Subscribe([&](const TickResult& t) {
     if (first_restored_tick < 0) first_restored_tick = t.tick;
     TickObservation obs;
     obs.labels = t.detection.lp.labels;
@@ -362,21 +362,21 @@ TEST_F(ChaosTest, KillRestoreReplayMatchesUninterruptedRun) {
     }
     got[TickKey(t.window_end)] = std::move(obs);
   });
-  auto restored = server.RestoreFromCheckpoint(dir);
+  auto restored = server->RestoreFromCheckpoint(dir);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_GE(restored.value().tick, 2);
   EXPECT_EQ(restored.value().tick % cfg_a.checkpoint.every_ticks, 0);
   ASSERT_LT(restored.value().num_edges, ordered.size());
 
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch :
        BatchEdges(ordered, 1000,
                   static_cast<size_t>(restored.value().num_edges))) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   // Tick numbering resumes where the checkpoint left off.
   EXPECT_EQ(first_restored_tick, restored.value().tick);
@@ -414,23 +414,23 @@ TEST_F(ChaosTest, IncrementalKillRestoreReplayMatchesUninterruptedRun) {
   cfg_a.checkpoint.dir = dir;
   cfg_a.checkpoint.every_ticks = 2;
   {
-    StreamServer server(cfg_a);
-    server.Subscribe([](const TickResult&) {});
-    ASSERT_TRUE(server.Start().ok());
+    auto server = MakeServer(cfg_a, 1);
+    server->Subscribe([](const TickResult&) {});
+    ASSERT_TRUE(server->Start().ok());
     auto batches = BatchEdges(ordered, 1000);
     const size_t half = batches.size() / 2;
     for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+      ASSERT_TRUE(server->Ingest(std::move(batches[i])));
     }
-    server.Flush();
-    EXPECT_GE(server.stats().checkpoints_written, 1);
-    server.Stop();
+    server->Flush();
+    EXPECT_GE(server->stats().checkpoints_written, 1);
+    server->Stop();
   }
 
   // Run B: restore + replay the canonical tail, still incremental.
-  StreamServer server(inc);
+  auto server = MakeServer(inc, 1);
   std::map<int64_t, TickObservation> got;
-  server.Subscribe([&](const TickResult& t) {
+  server->Subscribe([&](const TickResult& t) {
     TickObservation obs;
     obs.labels = t.detection.lp.labels;
     for (const auto& c : t.detection.clusters) {
@@ -438,19 +438,19 @@ TEST_F(ChaosTest, IncrementalKillRestoreReplayMatchesUninterruptedRun) {
     }
     got[TickKey(t.window_end)] = std::move(obs);
   });
-  auto restored = server.RestoreFromCheckpoint(dir);
+  auto restored = server->RestoreFromCheckpoint(dir);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_LT(restored.value().num_edges, ordered.size());
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch :
        BatchEdges(ordered, 1000,
                   static_cast<size_t>(restored.value().num_edges))) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   EXPECT_EQ(stats.ticks_failed, 0);
   ASSERT_FALSE(got.empty());
@@ -485,8 +485,8 @@ TEST_F(ChaosTest, IncrementalRebuildFailpointKeepsOutputExact) {
   std::map<int64_t, TickObservation> got;
   ServerStats stats;
   {
-    StreamServer server(inc);
-    server.Subscribe([&](const TickResult& t) {
+    auto server = MakeServer(inc, 1);
+    server->Subscribe([&](const TickResult& t) {
       TickObservation obs;
       obs.labels = t.detection.lp.labels;
       for (const auto& c : t.detection.clusters) {
@@ -494,14 +494,14 @@ TEST_F(ChaosTest, IncrementalRebuildFailpointKeepsOutputExact) {
       }
       got[TickKey(t.window_end)] = std::move(obs);
     });
-    ASSERT_TRUE(server.Start().ok());
+    ASSERT_TRUE(server->Start().ok());
     for (auto& batch : BatchEdges(ordered, 1000)) {
-      ASSERT_TRUE(server.Ingest(std::move(batch)));
+      ASSERT_TRUE(server->Ingest(std::move(batch)));
     }
-    server.Flush();
-    stats = server.stats();
-    server.Stop();
-    EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+    server->Flush();
+    stats = server->stats();
+    server->Stop();
+    EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   }
 
   EXPECT_GE(stats.incremental_rebuilds, 2);
@@ -548,18 +548,18 @@ TEST_F(ChaosTest, RandomizedFailpointScheduleNeverDeadlocks) {
   cfg.tick.every_days = 2.0;
   cfg.max_queue_batches = 2;
 
-  StreamServer server(cfg);
+  auto server = MakeServer(cfg, 1);
   std::atomic<int> ticks{0};
-  server.Subscribe([&](const TickResult&) { ticks.fetch_add(1); });
-  ASSERT_TRUE(server.Start().ok());
+  server->Subscribe([&](const TickResult&) { ticks.fetch_add(1); });
+  ASSERT_TRUE(server->Start().ok());
   size_t accepted = 0;
   for (auto& batch : BatchEdges(ordered, 500)) {
     // serve.ingest faults legitimately reject batches; the stream goes on.
-    accepted += server.Ingest(std::move(batch)) ? 1 : 0;
+    accepted += server->Ingest(std::move(batch)) ? 1 : 0;
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
 
   // The chaos schedule may abandon ticks and drop batches — but the server
   // must drain, stop cleanly, and keep the books balanced.
@@ -682,79 +682,6 @@ void WriteWalSegment(const std::string& wal_dir) {
   auto wal = wal::Wal::Open(wal_dir, wal::WalOptions{});
   ASSERT_TRUE(wal.ok()) << wal.status().ToString();
   ASSERT_TRUE(wal.value()->Append({{1, 2, 0.5}}, 1.0).ok());
-}
-
-TEST_F(ChaosTest, PruneSkipsTornFilesWhenFillingKeepSlots) {
-  const std::string dir = MakeTempDir("prune_torn_slots");
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(2), SampleCheckpoint())
-          .ok());
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(4), SampleCheckpoint())
-          .ok());
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(6), SampleCheckpoint())
-          .ok());
-  // The newest file is torn: it must not occupy the single keep slot (which
-  // would prune the only restorable state) — it gets deleted and tick 4 is
-  // what survives.
-  std::filesystem::resize_file(dir + "/" + CheckpointFileName(6), 16);
-
-  ASSERT_TRUE(PruneCheckpoints(dir, 1).ok());
-  EXPECT_EQ(CheckpointFilesIn(dir),
-            std::vector<std::string>{CheckpointFileName(4)});
-}
-
-TEST_F(ChaosTest, PruneKeepZeroDeletesEveryCheckpoint) {
-  const std::string dir = MakeTempDir("prune_keep0");
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(1), SampleCheckpoint())
-          .ok());
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(2), SampleCheckpoint())
-          .ok());
-  ASSERT_TRUE(PruneCheckpoints(dir, 0).ok());
-  EXPECT_TRUE(CheckpointFilesIn(dir).empty());
-  // Negative keep behaves like 0, and pruning an empty dir stays OK.
-  ASSERT_TRUE(PruneCheckpoints(dir, -3).ok());
-  EXPECT_TRUE(CheckpointFilesIn(dir).empty());
-}
-
-TEST_F(ChaosTest, PruneTornOnlyDirectoryConvergesToEmpty) {
-  const std::string dir = MakeTempDir("prune_all_torn");
-  for (const int64_t tick : {3, 5}) {
-    ASSERT_TRUE(SaveCheckpoint(dir + "/" + CheckpointFileName(tick),
-                               SampleCheckpoint())
-                    .ok());
-    std::filesystem::resize_file(dir + "/" + CheckpointFileName(tick), 16);
-  }
-  // Garbage never occupies keep slots: even with keep=2 the directory
-  // converges to empty instead of shielding two unloadable files forever.
-  ASSERT_TRUE(PruneCheckpoints(dir, 2).ok());
-  EXPECT_TRUE(CheckpointFilesIn(dir).empty());
-}
-
-TEST_F(ChaosTest, WalAwarePruneRetainsReplayBase) {
-  const std::string dir = MakeTempDir("prune_walaware");
-  const std::string wal_dir = MakeTempDir("prune_walaware_wal");
-  const std::string empty_wal_dir = MakeTempDir("prune_walaware_nowal");
-  WriteWalSegment(wal_dir);
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(2), SampleCheckpoint())
-          .ok());
-  ASSERT_TRUE(
-      SaveCheckpoint(dir + "/" + CheckpointFileName(4), SampleCheckpoint())
-          .ok());
-
-  // Surviving WAL segments replay on top of the newest checkpoint, so even
-  // keep=0 retains it.
-  ASSERT_TRUE(PruneCheckpoints(dir, 0, wal_dir).ok());
-  EXPECT_EQ(CheckpointFilesIn(dir),
-            std::vector<std::string>{CheckpointFileName(4)});
-
-  // A WAL dir without segments imposes nothing: keep=0 now deletes it.
-  ASSERT_TRUE(PruneCheckpoints(dir, 0, empty_wal_dir).ok());
-  EXPECT_TRUE(CheckpointFilesIn(dir).empty());
 }
 
 TEST_F(ChaosTest, WalAwareShardPruneRetainsNewestManifest) {

@@ -21,7 +21,7 @@
 #include "serve/net/ingest_service.h"
 #include "serve/net/tenant.h"
 #include "serve/net/wire.h"
-#include "serve/server_iface.h"
+#include "serve/server.h"
 
 namespace glp::serve::net {
 namespace {

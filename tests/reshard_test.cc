@@ -1,6 +1,6 @@
 // Elastic resharding tests (DESIGN.md §4.14): checkpoints are portable
 // across fleet sizes — an N-shard snapshot restores into an M-shard server
-// (including the flat 1-shard StreamServer in either direction) and a live
+// (including a flat single-file checkpoint) and a live
 // fleet resizes without losing or duplicating an edge. The acceptance
 // invariant mirrors shard_test's: after any resize, the confirmed-cluster
 // stream is identical (up to renumbering) to an uninterrupted run, and the
@@ -24,8 +24,6 @@
 #include "pipeline/transactions.h"
 #include "serve/checkpoint.h"
 #include "serve/server.h"
-#include "serve/server_iface.h"
-#include "serve/sharded_server.h"
 #include "util/failpoint.h"
 
 namespace glp::serve {
@@ -112,8 +110,7 @@ void ExpectSameView(const TickView& got, const TickView& want, int64_t key) {
   EXPECT_EQ(got.window_edges, want.window_edges) << "tick " << key;
 }
 
-/// Uninterrupted N-shard replay through MakeServer (N=1 exercises the flat
-/// StreamServer, so the matrix covers flat<->sharded portability too).
+/// Uninterrupted N-shard replay through MakeServer.
 std::map<int64_t, TickView> RunFleet(const ServerConfig& cfg, int num_shards,
                                      const std::vector<TimedEdge>& ordered) {
   std::map<int64_t, TickView> out;
@@ -418,8 +415,8 @@ TEST_F(ReshardTest, CorruptManifestStillFailsCleanly) {
     std::fclose(f);
   }
   ServerConfig cfg;
-  ShardedStreamServer server(cfg, 2);
-  auto r = server.RestoreFromCheckpoint(dir);
+  auto server = MakeServer(cfg, 2);
+  auto r = server->RestoreFromCheckpoint(dir);
   ASSERT_FALSE(r.ok());
   // The torn manifest is skipped, leaving nothing loadable.
   EXPECT_EQ(r.status().code(), StatusCode::kNotFound)
@@ -442,8 +439,8 @@ TEST_F(ReshardTest, LiveResizeKeepsTickStreamIdentical) {
 
   std::map<int64_t, TickView> got;
   std::set<std::vector<VertexId>> diff_state;
-  ShardedStreamServer server(cfg, 2);
-  server.Subscribe([&](const TickResult& t) {
+  auto server = MakeServer(cfg, 2);
+  server->Subscribe([&](const TickResult& t) {
     got[TickKey(t.window_end)] = ViewOf(t);
     // Replay the confirmed diff stream; a broken hand-off across the
     // migration would surface as a bad erase/insert here.
@@ -459,23 +456,23 @@ TEST_F(ReshardTest, LiveResizeKeepsTickStreamIdentical) {
     }
     EXPECT_EQ(diff_state, confirmed_now) << "tick end " << t.window_end;
   });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   auto batches = BatchEdges(ordered, 1000);
   const size_t third = batches.size() / 3;
   for (size_t i = 0; i < batches.size(); ++i) {
     if (i == third) {
-      ASSERT_TRUE(server.Resize(4).ok());
-      EXPECT_EQ(server.num_shards(), 4);
+      ASSERT_TRUE(server->Resize(4).ok());
+      EXPECT_EQ(server->num_shards(), 4);
     } else if (i == 2 * third) {
-      ASSERT_TRUE(server.Resize(3).ok());
-      EXPECT_EQ(server.num_shards(), 3);
+      ASSERT_TRUE(server->Resize(3).ok());
+      EXPECT_EQ(server->num_shards(), 3);
     }
-    ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+    ASSERT_TRUE(server->Ingest(std::move(batches[i])));
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   ASSERT_EQ(got.size(), want.size());
   for (const auto& [key, view] : want) {
@@ -496,36 +493,36 @@ TEST_F(ReshardTest, AbortedMigrationPublishesNothingAndRetries) {
   ASSERT_GE(want.size(), 6u);
 
   std::map<int64_t, TickView> got;
-  ShardedStreamServer server(cfg, 2);
-  server.Subscribe(
+  auto server = MakeServer(cfg, 2);
+  server->Subscribe(
       [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   auto batches = BatchEdges(ordered, 1000);
   const size_t half = batches.size() / 2;
   for (size_t i = 0; i < half; ++i) {
-    ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+    ASSERT_TRUE(server->Ingest(std::move(batches[i])));
   }
-  server.Flush();
+  server->Flush();
 
   auto& reg = fail::FailpointRegistry::Global();
   ASSERT_TRUE(reg.Parse("serve.reshard=error(io)").ok());
-  const Status aborted = server.Resize(4);
+  const Status aborted = server->Resize(4);
   ASSERT_FALSE(aborted.ok());
   EXPECT_EQ(aborted.code(), StatusCode::kIoError) << aborted.ToString();
-  EXPECT_EQ(server.num_shards(), 2);  // old shape intact
-  EXPECT_TRUE(server.running());
+  EXPECT_EQ(server->num_shards(), 2);  // old shape intact
+  EXPECT_TRUE(server->running());
 
   reg.ResetToEnv();
-  ASSERT_TRUE(server.Resize(4).ok());  // retry is always safe
-  EXPECT_EQ(server.num_shards(), 4);
+  ASSERT_TRUE(server->Resize(4).ok());  // retry is always safe
+  EXPECT_EQ(server->num_shards(), 4);
 
   for (size_t i = half; i < batches.size(); ++i) {
-    ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+    ASSERT_TRUE(server->Ingest(std::move(batches[i])));
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   ASSERT_EQ(got.size(), want.size());
   for (const auto& [key, view] : want) {
@@ -535,7 +532,7 @@ TEST_F(ReshardTest, AbortedMigrationPublishesNothingAndRetries) {
   EXPECT_EQ(stats.ticks_failed, 0);
 
   // The abort and the successful retry both landed in the metrics.
-  const std::string text = server.metrics()->PrometheusText();
+  const std::string text = server->metrics()->PrometheusText();
   EXPECT_NE(text.find("glp_serve_reshards_total{result=\"aborted\"} 1"),
             std::string::npos);
   EXPECT_NE(text.find("glp_serve_reshards_total{result=\"ok\"} 1"),
@@ -557,17 +554,17 @@ TEST_F(ReshardTest, AutoReshardGrowsFleetWithoutDivergence) {
   cfg.reshard.max_shards = 4;
   cfg.reshard.cooldown_ticks = 1;
   std::map<int64_t, TickView> got;
-  ShardedStreamServer server(cfg, 2);
-  server.Subscribe(
+  auto server = MakeServer(cfg, 2);
+  server->Subscribe(
       [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  const int final_shards = server.num_shards();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  const int final_shards = server->num_shards();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   EXPECT_GT(final_shards, 2);  // the trigger actually fired
   ASSERT_EQ(got.size(), want.size());
@@ -577,16 +574,125 @@ TEST_F(ReshardTest, AutoReshardGrowsFleetWithoutDivergence) {
   }
 }
 
-// StreamServer structurally cannot resize, but its checkpoints scale out:
-// the base Resize explains the path, and a flat snapshot restores into a
-// sharded fleet (covered in the matrix above). Verify the error contract.
-TEST_F(ReshardTest, FlatServerRejectsResizeButAcceptsNoOp) {
-  ServerConfig cfg;
-  StreamServer server(cfg);
-  EXPECT_TRUE(server.Resize(1).ok());
-  const Status st = server.Resize(3);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+// A one-shard server is the same server as any fleet: it resizes live
+// 1 -> 3 -> 1 mid-stream (and accepts the no-op resize), and the
+// confirmed-cluster stream matches the uninterrupted 1-shard run.
+TEST_F(ReshardTest, SingleShardServerResizesLive) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  const auto ordered = CanonicalEdges(stream);
+  const ServerConfig cfg = ColdServerConfig(stream);
+  const auto want = RunFleet(cfg, 1, ordered);
+  ASSERT_GE(want.size(), 6u);
+
+  std::map<int64_t, TickView> got;
+  std::set<std::vector<VertexId>> diff_state;
+  auto server = MakeServer(cfg, 1);
+  EXPECT_TRUE(server->Resize(1).ok());
+  server->Subscribe([&](const TickResult& t) {
+    got[TickKey(t.window_end)] = ViewOf(t);
+    for (const auto& members : t.expired_confirmed) {
+      ASSERT_EQ(diff_state.erase(members), 1u);
+    }
+    for (const auto& members : t.new_confirmed) {
+      ASSERT_TRUE(diff_state.insert(members).second);
+    }
+  });
+  ASSERT_TRUE(server->Start().ok());
+  auto batches = BatchEdges(ordered, 1000);
+  const size_t third = batches.size() / 3;
+  for (size_t i = 0; i < batches.size(); ++i) {
+    if (i == third) {
+      ASSERT_TRUE(server->Resize(3).ok());
+      EXPECT_EQ(server->num_shards(), 3);
+    } else if (i == 2 * third) {
+      ASSERT_TRUE(server->Resize(1).ok());
+      EXPECT_EQ(server->num_shards(), 1);
+    }
+    ASSERT_TRUE(server->Ingest(std::move(batches[i])));
+  }
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [key, view] : want) {
+    ASSERT_TRUE(got.count(key)) << "missing tick " << key;
+    ExpectSameView(got.at(key), view, key);
+  }
+  EXPECT_EQ(stats.ticks_failed, 0);
+  const std::string text = server->metrics()->PrometheusText();
+  EXPECT_NE(text.find("glp_serve_reshards_total{result=\"ok\"} 2"),
+            std::string::npos);
+}
+
+// Flat single-file checkpoints (the format one-shard deployments wrote)
+// still restore, into any fleet size: a v3 file written with
+// SaveCheckpoint from a mid-stream snapshot's flat view resumes the stream
+// exactly on 1 and on 3 shards.
+TEST_F(ReshardTest, FlatCheckpointRestoresIntoAnyFleetSize) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  const auto ordered = CanonicalEdges(stream);
+  const ServerConfig cfg = ColdServerConfig(stream);
+  const auto want = RunFleet(cfg, 1, ordered);
+  ASSERT_GE(want.size(), 6u);
+
+  // Snapshot a 1-shard run mid-stream, then re-write it as one flat file.
+  const std::string fleet_dir = MakeTempDir("flat_src");
+  const std::string flat_dir = MakeTempDir("flat");
+  {
+    ServerConfig cfg_a = cfg;
+    cfg_a.checkpoint.dir = fleet_dir;
+    cfg_a.checkpoint.every_ticks = 0;
+    auto server = MakeServer(cfg_a, 1);
+    ASSERT_TRUE(server->Start().ok());
+    auto batches = BatchEdges(ordered, 1000);
+    for (size_t i = 0; i < batches.size() / 2; ++i) {
+      ASSERT_TRUE(server->Ingest(std::move(batches[i])));
+    }
+    server->Flush();
+    ASSERT_TRUE(server->WriteCheckpoint().ok());
+    server->Stop();
+  }
+  auto port = LoadPortableCheckpoint(fleet_dir);
+  ASSERT_TRUE(port.ok()) << port.status().ToString();
+  const CheckpointData& flat = port.value().data;
+  ASSERT_GE(flat.tick, 1);
+  const std::string flat_file =
+      flat_dir + "/" + CheckpointFileName(flat.tick);
+  ASSERT_TRUE(SaveCheckpoint(flat_file, flat).ok());
+  auto reloaded = LoadCheckpoint(flat_file);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().edges.size(), flat.edges.size());
+
+  for (const int m : {1, 3}) {
+    SCOPED_TRACE("flat -> " + std::to_string(m) + " shards");
+    std::map<int64_t, TickView> got;
+    auto server = MakeServer(cfg, m);
+    server->Subscribe(
+        [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
+    auto restored = server->RestoreFromCheckpoint(flat_dir);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    EXPECT_EQ(restored.value().tick, flat.tick);
+    EXPECT_EQ(restored.value().num_edges, flat.edges.size());
+    ASSERT_TRUE(server->Start().ok());
+    for (auto& batch :
+         BatchEdges(ordered, 1000,
+                    static_cast<size_t>(restored.value().num_edges))) {
+      ASSERT_TRUE(server->Ingest(std::move(batch)));
+    }
+    server->Flush();
+    server->Stop();
+    ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+
+    ASSERT_FALSE(got.empty());
+    for (const auto& [key, view] : got) {
+      ASSERT_TRUE(want.count(key)) << "unexpected tick " << key;
+      ExpectSameView(view, want.at(key), key);
+    }
+    EXPECT_EQ(static_cast<int64_t>(want.size()),
+              restored.value().tick + static_cast<int64_t>(got.size()));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
-// Sharded-fleet tests (DESIGN.md §4.9): the N-shard ShardedStreamServer
-// must reproduce the 1-shard StreamServer's confirmed clusters exactly (up
-// to cluster renumbering) on cold canonical replay, stay equivalent under a
+// Sharded-fleet tests (DESIGN.md §4.9): an N-shard server must reproduce
+// the 1-shard server's confirmed clusters exactly (up to cluster
+// renumbering) on cold canonical replay, stay equivalent under a
 // transient-fault chaos schedule, restore atomically from per-shard
 // checkpoints — including falling back to the previous complete snapshot
 // when one shard file of the newest manifest is lost — and the sharded
@@ -21,7 +21,6 @@
 #include "pipeline/transactions.h"
 #include "serve/checkpoint.h"
 #include "serve/server.h"
-#include "serve/sharded_server.h"
 #include "util/failpoint.h"
 
 namespace glp::serve {
@@ -63,7 +62,7 @@ std::vector<std::vector<TimedEdge>> BatchEdges(
 
 /// Cold, fixed-iteration configuration: with warm start off and a fixed
 /// synchronous iteration count, per-component LP is order-isomorphic to the
-/// global run, so shard-count equivalence is exact (see sharded_server.h).
+/// global run, so shard-count equivalence is exact (see serve/server.h).
 ServerConfig ColdServerConfig(const pipeline::TransactionStream& stream) {
   ServerConfig cfg;
   cfg.detect.window_days = 15;
@@ -114,20 +113,20 @@ void ExpectSameView(const TickView& got, const TickView& want, int64_t key) {
   EXPECT_EQ(got.confirmed_tp, want.confirmed_tp) << "tick " << key;
 }
 
-/// Replays the canonical stream through a 1-shard StreamServer.
+/// Replays the canonical stream through a 1-shard server.
 std::map<int64_t, TickView> RunSingle(const ServerConfig& cfg,
                                       const std::vector<TimedEdge>& ordered) {
   std::map<int64_t, TickView> out;
-  StreamServer server(cfg);
-  server.Subscribe(
+  auto server = MakeServer(cfg, 1);
+  server->Subscribe(
       [&](const TickResult& t) { out[TickKey(t.window_end)] = ViewOf(t); });
-  EXPECT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    EXPECT_TRUE(server.Ingest(std::move(batch)));
+    EXPECT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   return out;
 }
 
@@ -137,17 +136,17 @@ std::map<int64_t, TickView> RunSharded(const ServerConfig& cfg,
                                        const std::vector<TimedEdge>& ordered,
                                        ServerStats* stats_out = nullptr) {
   std::map<int64_t, TickView> out;
-  ShardedStreamServer server(cfg, num_shards);
-  server.Subscribe(
+  auto server = MakeServer(cfg, num_shards);
+  server->Subscribe(
       [&](const TickResult& t) { out[TickKey(t.window_end)] = ViewOf(t); });
-  EXPECT_TRUE(server.Start().ok());
+  EXPECT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    EXPECT_TRUE(server.Ingest(std::move(batch)));
+    EXPECT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  if (stats_out != nullptr) *stats_out = server.stats();
-  server.Stop();
-  EXPECT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  if (stats_out != nullptr) *stats_out = server->stats();
+  server->Stop();
+  EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   return out;
 }
 
@@ -208,8 +207,8 @@ TEST_F(ShardTest, StitchedClustersCarryDenseGlobalLabels) {
   const ServerConfig cfg = ColdServerConfig(stream);
 
   int nonempty_ticks = 0;
-  ShardedStreamServer server(cfg, 4);
-  server.Subscribe([&](const TickResult& t) {
+  auto server = MakeServer(cfg, 4);
+  server->Subscribe([&](const TickResult& t) {
     if (t.detection.clusters.empty()) return;
     ++nonempty_ticks;
     for (size_t i = 0; i < t.detection.clusters.size(); ++i) {
@@ -225,17 +224,17 @@ TEST_F(ShardTest, StitchedClustersCarryDenseGlobalLabels) {
     // leaves them empty by contract.
     EXPECT_TRUE(t.detection.lp.labels.empty());
   });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   EXPECT_GE(nonempty_ticks, 4);
 
   // Per-shard metric families are registered under the shard label.
-  const std::string text = server.metrics()->PrometheusText();
+  const std::string text = server->metrics()->PrometheusText();
   EXPECT_NE(text.find("glp_serve_shard_window_edges"), std::string::npos);
   EXPECT_NE(text.find("shard=\"3\""), std::string::npos);
 }
@@ -249,8 +248,8 @@ TEST_F(ShardTest, ShardedConfirmedDiffsReplayToCurrentSet) {
 
   std::set<std::vector<VertexId>> state;
   bool saw_confirmed = false;
-  ShardedStreamServer server(cfg, 4);
-  server.Subscribe([&](const TickResult& t) {
+  auto server = MakeServer(cfg, 4);
+  server->Subscribe([&](const TickResult& t) {
     for (const auto& members : t.expired_confirmed) {
       ASSERT_EQ(state.erase(members), 1u);
     }
@@ -264,13 +263,13 @@ TEST_F(ShardTest, ShardedConfirmedDiffsReplayToCurrentSet) {
     saw_confirmed = saw_confirmed || !confirmed_now.empty();
     EXPECT_EQ(state, confirmed_now) << "tick end " << t.window_end;
   });
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch : BatchEdges(ordered, 1000)) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
   EXPECT_TRUE(saw_confirmed);
 }
 
@@ -327,18 +326,18 @@ TEST_F(ShardTest, SingleShardKillRestoreFallsBackToCompleteSnapshot) {
   cfg_a.checkpoint.every_ticks = 1;
   cfg_a.checkpoint.keep = 8;
   {
-    ShardedStreamServer server(cfg_a, 4);
-    ASSERT_TRUE(server.Start().ok());
+    auto server = MakeServer(cfg_a, 4);
+    ASSERT_TRUE(server->Start().ok());
     auto batches = BatchEdges(ordered, 1000);
     const size_t half = batches.size() / 2;
     for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+      ASSERT_TRUE(server->Ingest(std::move(batches[i])));
     }
-    server.Flush();
-    const ServerStats stats = server.stats();
+    server->Flush();
+    const ServerStats stats = server->stats();
     EXPECT_GE(stats.checkpoints_written, 2);
     EXPECT_EQ(stats.checkpoint_failures, 0);
-    server.Stop();
+    server->Stop();
   }
 
   auto newest = LatestShardedCheckpoint(dir);
@@ -357,33 +356,33 @@ TEST_F(ShardTest, SingleShardKillRestoreFallsBackToCompleteSnapshot) {
   // back past the torn snapshot the same way. (Full N->M output
   // equivalence is reshard_test's job.)
   {
-    ShardedStreamServer other(cfg, 2);
-    auto r = other.RestoreFromCheckpoint(dir);
+    auto other = MakeServer(cfg, 2);
+    auto r = other->RestoreFromCheckpoint(dir);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(r.value().tick, newest_tick - 1);
   }
 
-  ShardedStreamServer server(cfg, 4);
+  auto server = MakeServer(cfg, 4);
   std::map<int64_t, TickView> got;
   int64_t first_restored_tick = -1;
-  server.Subscribe([&](const TickResult& t) {
+  server->Subscribe([&](const TickResult& t) {
     if (first_restored_tick < 0) first_restored_tick = t.tick;
     got[TickKey(t.window_end)] = ViewOf(t);
   });
-  auto restored = server.RestoreFromCheckpoint(dir);
+  auto restored = server->RestoreFromCheckpoint(dir);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   EXPECT_EQ(restored.value().tick, newest_tick - 1);
   ASSERT_LT(restored.value().num_edges, ordered.size());
 
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch :
        BatchEdges(ordered, 1000,
                   static_cast<size_t>(restored.value().num_edges))) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   EXPECT_EQ(first_restored_tick, restored.value().tick);
   ASSERT_FALSE(got.empty());
@@ -443,36 +442,36 @@ TEST_F(ShardTest, IncrementalShardedKillRestoreMatchesUninterrupted) {
   cfg_a.checkpoint.every_ticks = 1;
   cfg_a.checkpoint.keep = 8;
   {
-    ShardedStreamServer server(cfg_a, 4);
-    ASSERT_TRUE(server.Start().ok());
+    auto server = MakeServer(cfg_a, 4);
+    ASSERT_TRUE(server->Start().ok());
     auto batches = BatchEdges(ordered, 1000);
     const size_t half = batches.size() / 2;
     for (size_t i = 0; i < half; ++i) {
-      ASSERT_TRUE(server.Ingest(std::move(batches[i])));
+      ASSERT_TRUE(server->Ingest(std::move(batches[i])));
     }
-    server.Flush();
-    EXPECT_GE(server.stats().checkpoints_written, 1);
-    server.Stop();
+    server->Flush();
+    EXPECT_GE(server->stats().checkpoints_written, 1);
+    server->Stop();
   }
 
   // Run B: restore and replay the canonical tail, still incremental.
-  ShardedStreamServer server(inc, 4);
+  auto server = MakeServer(inc, 4);
   std::map<int64_t, TickView> got;
-  server.Subscribe(
+  server->Subscribe(
       [&](const TickResult& t) { got[TickKey(t.window_end)] = ViewOf(t); });
-  auto restored = server.RestoreFromCheckpoint(dir);
+  auto restored = server->RestoreFromCheckpoint(dir);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ASSERT_LT(restored.value().num_edges, ordered.size());
-  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(server->Start().ok());
   for (auto& batch :
        BatchEdges(ordered, 1000,
                   static_cast<size_t>(restored.value().num_edges))) {
-    ASSERT_TRUE(server.Ingest(std::move(batch)));
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
   }
-  server.Flush();
-  const ServerStats stats = server.stats();
-  server.Stop();
-  ASSERT_TRUE(server.last_error().ok()) << server.last_error().ToString();
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
 
   EXPECT_EQ(stats.ticks_failed, 0);
   ASSERT_FALSE(got.empty());

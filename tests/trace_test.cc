@@ -24,7 +24,7 @@
 #include "serve/net/client.h"
 #include "serve/net/ingest_service.h"
 #include "serve/net/tenant.h"
-#include "serve/server_iface.h"
+#include "serve/server.h"
 #include "util/failpoint.h"
 
 namespace glp::serve {

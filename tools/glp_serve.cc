@@ -66,7 +66,7 @@ struct Args {
   bool incremental = false;
   bool quiet = false;
   bool profile = false;
-  int shards = 1;         // >1 = ShardedStreamServer fleet
+  int shards = 1;         // detection shards (elastic; see --resize-at)
   int metrics_port = -1;  // -1 = no endpoint; 0 = ephemeral port
   // Elastic resharding (DESIGN.md §4.14).
   bool reshard_auto = false;       // heat-driven automatic rebalancing
@@ -125,10 +125,11 @@ void Usage() {
       "                 identical to a cold replay; needs an even --iters)\n"
       "  --refresh <n>  cold-refresh every n ticks (counters warm-start\n"
       "                 label-granularity drift; 0 = never; default 32)\n"
-      "  --shards <n>   hash-partition entities across n server shards\n"
-      "                 (cross-shard clusters stitched per tick; default 1\n"
-      "                 = the single StreamServer)\n"
-      "  --profile      per-phase profile of the serving run\n"
+      "  --shards <n>   hash-partition entities across n detection shards\n"
+      "                 (default 1; one server for every count: with n > 1\n"
+      "                 cross-shard clusters are stitched per tick)\n"
+      "  --profile      per-phase LP profile of the last tick (one shard\n"
+      "                 only; with --shards > 1 nothing is printed)\n"
       "  --quiet        suppress per-tick lines (stats JSON only)\n"
       "elastic resharding (DESIGN.md 4.14):\n"
       "  --reshard-auto        heat-driven rebalancing: grow/shrink the\n"
@@ -326,8 +327,8 @@ bool ParseEngine(const std::string& name, lp::EngineKind* kind) {
   return true;
 }
 
-/// Replay driver — programs against serve::Server, so the single-server and
-/// sharded paths are the same code path.
+/// Replay driver — programs against serve::Server, the same code path for
+/// every shard count.
 int RunReplay(serve::Server& server, const Args& args,
               const pipeline::TransactionStream& stream,
               prof::PhaseProfiler& profiler) {
