@@ -16,11 +16,16 @@
 // divides kernel time across devices and adds a partially-overlapped label
 // all-gather; hybrid mode adds the non-overlappable part of streaming the
 // CSR over PCIe each iteration.
+//
+// Host block replay (DESIGN.md §4.1): in the shared-memory modes, a
+// LabelPropagation block whose neighbors speak the same labels as two
+// iterations ago is not re-simulated; its stats and choices from then are
+// reused. The device is still charged for every block.
 
 #pragma once
 
 #include <algorithm>
-#include <atomic>
+#include <span>
 #include <vector>
 
 #include "glp/kernels/accounting.h"
@@ -38,6 +43,59 @@
 #include "util/timer.h"
 
 namespace glp::lp {
+
+/// Flags in `touched` every vertex whose CSR row (the in-neighbors it
+/// gathers labels from) holds a vertex labeled differently in `now` than in
+/// `before` — the vertices whose LabelPropagation inputs changed. Returns
+/// the summed degree of the changed vertices.
+inline uint64_t MarkTouched(const graph::Graph& g,
+                            const std::vector<graph::Label>& now,
+                            const std::vector<graph::Label>& before,
+                            std::vector<uint8_t>* touched) {
+  const graph::VertexId n = g.num_vertices();
+  std::vector<uint8_t> changed(n, 0);
+  uint64_t changed_edges = 0;
+  for (graph::VertexId v = 0; v < n; ++v) {
+    if (now[v] == before[v]) continue;
+    changed[v] = 1;
+    changed_edges += static_cast<uint64_t>(g.degree(v));
+  }
+  touched->assign(n, 0);
+  if (changed_edges == 0) return 0;
+  for (graph::VertexId v = 0; v < n; ++v) {
+    for (graph::VertexId u : g.neighbors(v)) {
+      if (changed[u] != 0) {
+        (*touched)[v] = 1;
+        break;
+      }
+    }
+  }
+  return changed_edges;
+}
+
+/// Sizes `memo->dirty` to one flag per `per_block` consecutive entries of
+/// `ids` — a kernel's block-to-vertex map, kInvalidVertex entries being
+/// padding — and flags a block dirty when one of its vertices is touched,
+/// or every block when `touched` is null. Returns the dirty block count.
+inline uint64_t FlagDirtyBlocks(std::span<const graph::VertexId> ids,
+                                size_t per_block, const uint8_t* touched,
+                                sim::BlockMemo* memo) {
+  const size_t blocks = (ids.size() + per_block - 1) / per_block;
+  memo->dirty.assign(blocks, touched == nullptr ? 1 : 0);
+  if (touched == nullptr) return blocks;
+  uint64_t dirty = 0;
+  for (size_t b = 0; b < blocks; ++b) {
+    const size_t end = std::min(ids.size(), (b + 1) * per_block);
+    for (size_t i = b * per_block; i < end; ++i) {
+      if (ids[i] != graph::kInvalidVertex && touched[ids[i]] != 0) {
+        memo->dirty[b] = 1;
+        ++dirty;
+        break;
+      }
+    }
+  }
+  return dirty;
+}
 
 /// GLP over any variant policy.
 template <typename Variant>
@@ -76,6 +134,9 @@ class GlpEngine : public Engine {
 
   /// Vertices that took the Theorem-1 fallback path in the last run.
   uint64_t last_fallback_count() const { return fallback_count_; }
+  /// LabelPropagation blocks the host replayed instead of simulating in the
+  /// last run (RunResult::host_blocks_replayed).
+  uint64_t last_replayed_blocks() const { return replayed_blocks_; }
   /// Low-bin packing efficiency of the last run.
   double last_plan_occupancy() const { return plan_occupancy_; }
 
@@ -183,13 +244,31 @@ class GlpEngine : public Engine {
     // and is pointless-but-correct to skip for aux-dependent variants.
     const bool frontier_active =
         options_.use_frontier && use_smem && !Variant::kNeedsLabelAux;
-    std::vector<graph::Label> prev_spoken, last_chosen;
+    // Host block replay has the same scope, outside frontier mode. A block's
+    // stats and writes are a pure function of the graph and the spoken
+    // labels it gathers (aux-dependent variants also read per-label state),
+    // so a block whose inputs equal iteration t-2's repeats t-2 exactly.
+    // Against t-1 nothing repeats: synchronous LP oscillates with period 2.
+    const bool replay_active =
+        use_smem && !options_.use_frontier && !Variant::kNeedsLabelAux;
+    // Both compare against the iteration `lookback` back: they keep the
+    // spoken labels and the kernels' choices of the last two iterations.
+    const int lookback = frontier_active ? 1 : 2;
+    LabelHistory spoken_history, chosen_history;
     std::vector<uint8_t> affected;
-    if (frontier_active) {
-      prev_spoken = variant.labels();
-      last_chosen = variant.labels();
-    }
     affected_counts_.clear();
+    // Per-block memos of each LabelPropagation launch, indexed by iteration
+    // parity and GPU; the high-degree kernel's per-block fallback flags
+    // live beside them (replayed blocks keep theirs).
+    struct KernelMemos {
+      sim::BlockMemo low, mid, high;
+      std::vector<uint8_t> high_fell_back;
+    };
+    std::vector<KernelMemos> memos[2] = {std::vector<KernelMemos>(num_gpus),
+                                         std::vector<KernelMemos>(num_gpus)};
+    const size_t warps_per_block =
+        static_cast<size_t>(options_.threads_per_block / sim::kWarpSize);
+    uint64_t blocks_executed = 0, blocks_replayed = 0;
 
     // --- Iterations ---
     prof::PhaseProfiler* const profiler = ctx.profiler;
@@ -197,7 +276,7 @@ class GlpEngine : public Engine {
     ConvergenceRecorder recorder(ctx.metrics, name());
     GpuRunAccumulator acc(&cost_, profiler);
     sim::TransferLedger transfers(&cost_);
-    std::atomic<uint64_t> fallbacks{0};
+    uint64_t fallbacks = 0;
     RunResult result;
     // Initial upload of graph + state (charged once, outside the
     // per-iteration times the paper reports).
@@ -215,26 +294,28 @@ class GlpEngine : public Engine {
       variant.BeginIteration(iter);
       const DeviceView<Variant> view = DeviceView<Variant>::Of(g, variant);
 
-      // Frontier construction: vertices whose spoken label changed last
-      // iteration are the change sources; their neighbors must recompute,
-      // everyone else repeats their last chosen label.
-      const bool full_pass = !frontier_active || iter == 0;
+      // Vertices whose spoken label changed since the iteration `lookback`
+      // back are the change sources; their readers must recompute, everyone
+      // else repeats the label chosen then. Frontier mode drops the others
+      // from the device pass; block replay only skips simulating them.
+      const bool reuse =
+          (frontier_active || replay_active) && iter >= lookback;
+      const bool full_pass = !frontier_active || !reuse;
       uint64_t affected_count = nu;
       uint64_t changed_edges = 0;
-      if (!full_pass) {
-        const auto& spoken = variant.labels();
-        affected.assign(n, 0);
-        for (graph::VertexId v = 0; v < n; ++v) {
-          if (spoken[v] == prev_spoken[v]) continue;
-          changed_edges += static_cast<uint64_t>(g.degree(v));
-          for (graph::VertexId u : g.neighbors(v)) affected[u] = 1;
+      if (reuse) {
+        changed_edges = MarkTouched(g, variant.labels(),
+                                    spoken_history.Back(lookback), &affected);
+        if (frontier_active) {
+          affected_count = 0;
+          for (uint8_t a : affected) affected_count += a;
         }
-        affected_count = 0;
-        for (graph::VertexId v = 0; v < n; ++v) affected_count += affected[v];
-        prev_spoken = spoken;
-        // Unaffected vertices repeat their last chosen label.
-        std::copy(last_chosen.begin(), last_chosen.end(),
-                  variant.next_labels().begin());
+        const std::vector<graph::Label>& chosen =
+            chosen_history.Back(lookback);
+        std::copy(chosen.begin(), chosen.end(), variant.next_labels().begin());
+      }
+      if (frontier_active || replay_active) {
+        spoken_history.Push(variant.labels());
       }
       affected_counts_.push_back(affected_count);
 
@@ -313,6 +394,21 @@ class GlpEngine : public Engine {
           phase += s;
           if (profiler != nullptr) bin_parts.push_back({p, s});
         };
+        // A launch's memo with its blocks flagged for this iteration: every
+        // block runs until the memo holds iteration t-2, then only those
+        // reading a touched vertex. `ids` maps blocks to vertices,
+        // `per_block` entries each. Null (run everything) without replay.
+        KernelMemos& memo = memos[iter % 2][gpu];
+        uint64_t replayed_now = 0;
+        auto flag = [&](sim::BlockMemo* m,
+                        std::span<const graph::VertexId> ids,
+                        size_t per_block) -> sim::BlockMemo* {
+          if (!replay_active) return nullptr;
+          const uint64_t dirty = FlagDirtyBlocks(
+              ids, per_block, reuse ? affected.data() : nullptr, m);
+          replayed_now += m->dirty.size() - dirty;
+          return m;
+        };
         if (!use_smem) {
           part.arena.Reset();
           add_part(prof::Phase::kCompute,
@@ -324,8 +420,11 @@ class GlpEngine : public Engine {
         } else {
           if (use_warp_pack) {
             add_part(prof::Phase::kLowBin,
-                     RunLowDegreeWarpKernel(device_, pool, view, *plan_now,
-                                            options_.threads_per_block));
+                     RunLowDegreeWarpKernel(
+                         device_, pool, view, *plan_now,
+                         options_.threads_per_block,
+                         flag(&memo.low, plan_now->slot_vertex,
+                              warps_per_block * sim::kWarpSize)));
             // Isolated low-bin vertices: trivial map kernel on its stream
             // that re-commits the current label — an isolated vertex has no
             // neighbors and must keep its label across iterations.
@@ -342,21 +441,29 @@ class GlpEngine : public Engine {
             add_part(prof::Phase::kLowBin,
                      RunWarpPerVertexSmemKernel(
                          device_, pool, view, bins_now->low,
-                         part.low_ht_capacity, options_.threads_per_block));
+                         part.low_ht_capacity, options_.threads_per_block,
+                         flag(&memo.low, bins_now->low, warps_per_block)));
           }
           if (!bins_now->mid.empty()) {
             add_part(prof::Phase::kMidBin,
                      RunWarpPerVertexSmemKernel(
                          device_, pool, view, bins_now->mid,
-                         part.mid_ht_capacity, options_.threads_per_block));
+                         part.mid_ht_capacity, options_.threads_per_block,
+                         flag(&memo.mid, bins_now->mid, warps_per_block)));
           }
           if (!bins_now->high.empty()) {
+            std::vector<uint8_t>& fell_back = memo.high_fell_back;
+            fell_back.resize(bins_now->high.size());
             add_part(prof::Phase::kHighBin,
-                     RunHighDegreeBlockKernel(device_, pool, view,
-                                              bins_now->high, options_,
-                                              &fallbacks));
+                     RunHighDegreeBlockKernel(
+                         device_, pool, view, bins_now->high, options_,
+                         fell_back.data(),
+                         flag(&memo.high, bins_now->high, 1)));
+            for (uint8_t f : fell_back) fallbacks += f;
           }
         }
+        blocks_executed += phase.blocks_executed - replayed_now;
+        blocks_replayed += replayed_now;
         phase.kernel_launches = 1;
         const double phase_seconds = acc.AddLaunchConcurrent(phase);
         gpu_seconds += phase_seconds;
@@ -385,9 +492,8 @@ class GlpEngine : public Engine {
       }
       acc.AddSeconds(max_gpu_seconds);
 
-      if (frontier_active) {
-        std::copy(variant.next_labels().begin(), variant.next_labels().end(),
-                  last_chosen.begin());
+      if (frontier_active || replay_active) {
+        chosen_history.Push(variant.next_labels());
       }
       const int changed = variant.EndIteration(iter);
 
@@ -443,7 +549,10 @@ class GlpEngine : public Engine {
       }
     }
 
-    fallback_count_ = fallbacks.load();
+    fallback_count_ = fallbacks;
+    replayed_blocks_ = blocks_replayed;
+    result.host_blocks_executed = blocks_executed;
+    result.host_blocks_replayed = blocks_replayed;
     result.labels = variant.FinalLabels();
     result.wall_seconds = timer.Seconds();
     result.stats = acc.total();
@@ -497,6 +606,7 @@ class GlpEngine : public Engine {
   sim::DeviceProps device_;
   sim::CostModel cost_;
   uint64_t fallback_count_ = 0;
+  uint64_t replayed_blocks_ = 0;
   double plan_occupancy_ = 1.0;
   std::vector<uint64_t> affected_counts_;
 };

@@ -11,7 +11,7 @@
 
 #pragma once
 
-#include <atomic>
+#include <cstdint>
 #include <span>
 
 #include "glp/kernels/common.h"
@@ -35,15 +35,17 @@ enum HighDegreeScratch : int {
 };
 
 /// Runs one LabelPropagation pass over `vertices`, one block per vertex,
-/// using the CMS+HT shared-memory strategy. `fallback_count`, if non-null,
-/// accumulates how many vertices needed the global-memory path (the
-/// quantity Theorem 1 bounds).
+/// using the CMS+HT shared-memory strategy. `fell_back`, if non-null, holds
+/// one flag per block: each block that runs sets its flag to whether its
+/// vertex needed the global-memory path (summed, the quantity Theorem 1
+/// bounds). `memo` is passed to sim::Launch; blocks it replays leave their
+/// flag as it was.
 template <typename Variant>
 sim::KernelStats RunHighDegreeBlockKernel(
     const sim::DeviceProps& props, glp::ThreadPool* pool,
     const DeviceView<Variant>& view,
     const std::vector<graph::VertexId>& vertices, const GlpOptions& opts,
-    std::atomic<uint64_t>* fallback_count = nullptr) {
+    uint8_t* fell_back = nullptr, sim::BlockMemo* memo = nullptr) {
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   if (num_vertices == 0) return sim::KernelStats{};
   sim::LaunchConfig cfg;
@@ -168,12 +170,11 @@ sim::KernelStats RunHighDegreeBlockKernel(
     // repository-wide smaller-label tie-break the equality case must go
     // through the exact path too (the true winner could be an equal-scoring
     // spilled label with a smaller id), so commit only on strict dominance.
-    if (degree > 0 && s_ht.score <= s_cm.score) {
+    const bool fallback = degree > 0 && s_ht.score <= s_cm.score;
+    if (fell_back != nullptr) fell_back[blk.block_idx()] = fallback ? 1 : 0;
+    if (fallback) {
       // --- Fallback: exact recount via the global hash table (lines
       // 16-24). Rare by Theorem 1. ---
-      if (fallback_count != nullptr) {
-        fallback_count->fetch_add(1, std::memory_order_relaxed);
-      }
       int ghtc = 64;
       while (ghtc < 2 * degree) ghtc <<= 1;
       const std::span<graph::Label> ght_keys =
@@ -244,7 +245,7 @@ sim::KernelStats RunHighDegreeBlockKernel(
     sim::LaneArray<graph::Label> val(winner.label);
     idx[0] = v;
     leader.Scatter(view.next, idx, val);
-  });
+  }, memo);
 }
 
 }  // namespace glp::lp

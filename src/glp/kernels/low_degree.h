@@ -87,13 +87,15 @@ inline LowDegreePlan BuildLowDegreePlan(
   return plan;
 }
 
-/// Runs one LabelPropagation pass over the packed low-degree rounds.
+/// Runs one LabelPropagation pass over the packed low-degree rounds, one
+/// warp per round. `memo` is passed to sim::Launch.
 template <typename Variant>
 sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
                                         glp::ThreadPool* pool,
                                         const DeviceView<Variant>& view,
                                         const LowDegreePlan& plan,
-                                        int threads_per_block) {
+                                        int threads_per_block,
+                                        sim::BlockMemo* memo = nullptr) {
   const int warps_per_block = threads_per_block / sim::kWarpSize;
   const int64_t rounds =
       static_cast<int64_t>(plan.slot_vertex.size()) / sim::kWarpSize;
@@ -202,7 +204,7 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
       w.Scatter(view.next, out_idx, winner);
       w.SetActive(sim::kFullMask);
     });
-  });
+  }, memo);
 }
 
 }  // namespace glp::lp

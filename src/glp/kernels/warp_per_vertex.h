@@ -18,13 +18,13 @@ namespace glp::lp {
 
 /// Runs one LabelPropagation pass over `vertices`, one warp per vertex.
 /// `ht_capacity` is the per-warp table size (slots); callers size it at
-/// twice the largest degree in the bin.
+/// twice the largest degree in the bin. `memo` is passed to sim::Launch.
 template <typename Variant>
 sim::KernelStats RunWarpPerVertexSmemKernel(
     const sim::DeviceProps& props, glp::ThreadPool* pool,
     const DeviceView<Variant>& view,
     const std::vector<graph::VertexId>& vertices, int ht_capacity,
-    int threads_per_block) {
+    int threads_per_block, sim::BlockMemo* memo = nullptr) {
   const int warps_per_block = threads_per_block / sim::kWarpSize;
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   sim::LaunchConfig cfg;
@@ -128,7 +128,7 @@ sim::KernelStats RunWarpPerVertexSmemKernel(
       w.Scatter(view.next, idx, val);
       w.SetActive(sim::kFullMask);
     });
-  });
+  }, memo);
 }
 
 }  // namespace glp::lp

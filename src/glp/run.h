@@ -125,6 +125,38 @@ class ConvergenceRecorder {
   obs::Gauge* last_frontier_ = nullptr;
 };
 
+/// \brief The last two label arrays of a run, newest first.
+///
+/// Two deep because synchronous LP's stationary behaviours have period at
+/// most two (see StabilityTracker). A push recycles the buffer of the entry
+/// it drops, so steady-state pushes copy but never allocate.
+class LabelHistory {
+ public:
+  /// Forgets every entry.
+  void Clear() { depth_ = 0; }
+
+  /// Records `labels` as the newest entry.
+  void Push(const std::vector<graph::Label>& labels) {
+    newer_ = !newer_;
+    entries_[newer_].assign(labels.begin(), labels.end());
+    depth_ = depth_ < 2 ? depth_ + 1 : 2;
+  }
+
+  /// Number of entries held: 0, 1 or 2.
+  int depth() const { return depth_; }
+
+  /// The entry pushed `k` pushes ago: Back(1) is the newest, Back(2) the
+  /// one before it. Requires 1 <= k <= depth().
+  const std::vector<graph::Label>& Back(int k) const {
+    return entries_[k == 1 ? newer_ : !newer_];
+  }
+
+ private:
+  std::vector<graph::Label> entries_[2];
+  bool newer_ = false;
+  int depth_ = 0;
+};
+
 /// \brief Termination detector for stop_when_stable runs.
 ///
 /// Synchronous LP has two stationary behaviours: a fixed point (an
@@ -154,9 +186,8 @@ class StabilityTracker {
  public:
   /// Arms the tracker with the run's initial labels.
   void Reset(const std::vector<graph::Label>& initial) {
-    prev1_ = initial;
-    prev2_.clear();
-    have2_ = false;
+    history_.Clear();
+    history_.Push(initial);
     commits_ = 0;
   }
 
@@ -164,17 +195,14 @@ class StabilityTracker {
   /// match the labels two commits ago (a period-2 cycle) *and* the commit
   /// count is even — the phase-aligned stop point.
   bool Cycled(const std::vector<graph::Label>& labels) {
-    const bool cycle = have2_ && labels == prev2_;
-    prev2_ = std::move(prev1_);
-    prev1_ = labels;
-    have2_ = true;
+    const bool cycle = history_.depth() == 2 && labels == history_.Back(2);
+    history_.Push(labels);
     ++commits_;
     return cycle && (commits_ % 2 == 0);
   }
 
  private:
-  std::vector<graph::Label> prev1_, prev2_;
-  bool have2_ = false;
+  LabelHistory history_;
   int64_t commits_ = 0;
 };
 
@@ -202,6 +230,13 @@ struct RunResult {
   /// Peak device-resident bytes the engine required (memory-overhead
   /// comparison of §5.2).
   uint64_t device_bytes = 0;
+  /// Thread blocks of the LabelPropagation kernels the host simulated, and
+  /// those it replayed from an earlier iteration's block memo instead (GLP
+  /// engine; DESIGN.md §4.1). The device runs every block either way —
+  /// stats.blocks_executed counts them all — so these two measure host
+  /// work only and stay out of `stats`.
+  uint64_t host_blocks_executed = 0;
+  uint64_t host_blocks_replayed = 0;
   /// Per-phase time/counter breakdown; populated (enabled == true) only
   /// when RunContext.profiler was set. Its phase seconds sum to
   /// simulated_seconds' iteration portion by construction.

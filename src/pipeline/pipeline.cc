@@ -1,6 +1,7 @@
 #include "pipeline/pipeline.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <set>
 #include <string>
 #include <unordered_map>
@@ -162,6 +163,19 @@ Result<PipelineResult> DetectOnSnapshot(
   out.lp_wall_seconds = lp_timer.Seconds();
   if (lp_span.active()) {
     lp_span.AddLabel("iterations", std::to_string(lp_run.iterations));
+    // The span's own duration is host wall time; device_s puts the
+    // simulated device seconds of the same run beside it, and
+    // replayed_share the fraction of LP blocks the host replayed.
+    const uint64_t blocks =
+        lp_run.host_blocks_executed + lp_run.host_blocks_replayed;
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%.9g", lp_run.simulated_seconds);
+    lp_span.AddLabel("device_s", buf);
+    std::snprintf(buf, sizeof(buf), "%.4f",
+                  blocks == 0 ? 0.0
+                              : static_cast<double>(lp_run.host_blocks_replayed) /
+                                    static_cast<double>(blocks));
+    lp_span.AddLabel("replayed_share", buf);
   }
   lp_span.End();
   if (profiler != nullptr) {

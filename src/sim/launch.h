@@ -4,11 +4,18 @@
 // std::atomic_ref so concurrent blocks are race-free. Stats are accumulated
 // per worker chunk and merged, so counting never contends. Results and stats
 // are deterministic because all counted quantities are order-independent.
+//
+// A launch may carry a BlockMemo: per-block stats kept from an earlier
+// launch of the same grid. Blocks the caller flags clean are not simulated;
+// their cached stats are added instead. That is exact only when the caller
+// knows each clean block would count and write the same as when its entry
+// was recorded (and restores those writes itself).
 
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <vector>
 
 #include "sim/block.h"
 #include "sim/device.h"
@@ -23,14 +30,31 @@ struct LaunchConfig {
   int threads_per_block = 256;
 };
 
+/// \brief Per-block stats of one launch site, kept across launches.
+///
+/// `dirty` has one flag per block of the grid; the caller sets it before
+/// each launch. A dirty block is simulated into its own `stats` entry; a
+/// clean block adds the entry recorded when it last ran.
+struct BlockMemo {
+  std::vector<KernelStats> stats;
+  std::vector<uint8_t> dirty;
+};
+
 /// Executes `kernel(Block&)` for every block in the grid and returns the
 /// accumulated stats (kernel_launches == 1). `pool == nullptr` runs on the
-/// calling thread only.
+/// calling thread only. With a `memo`, only its dirty blocks run (see
+/// BlockMemo); the returned stats are the same sum either way, since every
+/// field is a counter.
 template <typename KernelFn>
 KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
-                   glp::ThreadPool* pool, KernelFn&& kernel) {
+                   glp::ThreadPool* pool, KernelFn&& kernel,
+                   BlockMemo* memo = nullptr) {
   GLP_CHECK_GT(cfg.threads_per_block, 0);
   GLP_CHECK_LE(cfg.threads_per_block, props.max_threads_per_block);
+  if (memo != nullptr) {
+    GLP_CHECK_EQ(memo->dirty.size(), static_cast<size_t>(cfg.num_blocks));
+    memo->stats.resize(memo->dirty.size());
+  }
 
   KernelStats total;
   total.kernel_launches = 1;
@@ -42,8 +66,18 @@ KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
     SharedMemory shared(props.shared_mem_per_block);
     ThreadScratch scratch;
     for (int64_t b = lo; b < hi; ++b) {
-      Block blk(b, cfg.threads_per_block, &shared, &local, &scratch);
-      kernel(blk);
+      if (memo == nullptr) {
+        Block blk(b, cfg.threads_per_block, &shared, &local, &scratch);
+        kernel(blk);
+        continue;
+      }
+      KernelStats& entry = memo->stats[b];
+      if (memo->dirty[b] != 0) {
+        entry = KernelStats{};
+        Block blk(b, cfg.threads_per_block, &shared, &entry, &scratch);
+        kernel(blk);
+      }
+      local += entry;
     }
     std::lock_guard<std::mutex> lock(merge_mu);
     total += local;

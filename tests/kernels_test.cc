@@ -143,10 +143,10 @@ TEST_P(KernelSeedTest, HighDegreeBlockKernelMatchesReference) {
   opts.ht_capacity = 128;  // force spills
   opts.cms_depth = 4;
   opts.cms_width = 512;
-  std::atomic<uint64_t> fallbacks{0};
+  std::vector<uint8_t> fell_back(all.size());
   auto view = DeviceView<ClassicVariant>::Of(g, variant);
   RunHighDegreeBlockKernel(sim::DeviceProps::TitanV(), nullptr, view, all,
-                           opts, &fallbacks);
+                           opts, fell_back.data());
   CheckAgainstReference(g, all, variant.next_labels(), variant);
 }
 
@@ -171,11 +171,11 @@ TEST(HighDegreeKernelTest, FallbackTriggersWhenMflSpills) {
   opts.ht_capacity = 32;
   opts.cms_depth = 4;
   opts.cms_width = 256;
-  std::atomic<uint64_t> fallbacks{0};
+  uint8_t fell_back = 0;
   auto view = DeviceView<ClassicVariant>::Of(g, variant);
   RunHighDegreeBlockKernel(sim::DeviceProps::TitanV(), nullptr, view, {0},
-                           opts, &fallbacks);
-  EXPECT_EQ(fallbacks.load(), 1u);
+                           opts, &fell_back);
+  EXPECT_EQ(fell_back, 1u);
   EXPECT_EQ(variant.next_labels()[0], 999u);
 }
 
