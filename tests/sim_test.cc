@@ -342,6 +342,39 @@ TEST(LaunchTest, StatsAggregateAcrossBlocks) {
   EXPECT_EQ(stats.global_bytes_requested, 10u * 32 * 4);
 }
 
+TEST(LaunchTest, MemoRunsDirtyBlocksAndReplaysClean) {
+  ThreadPool pool(4);
+  std::vector<uint32_t> data(32 * 10);
+  std::vector<std::atomic<int>> hits(10);
+  LaunchConfig cfg{10, 32};
+  // Block b issues b + 1 gathers, so each block's entry is distinct.
+  auto kernel = [&](Block& blk) {
+    hits[blk.block_idx()].fetch_add(1);
+    blk.ForEachWarp([&](Warp& w) {
+      for (int64_t i = 0; i <= blk.block_idx(); ++i) {
+        w.GatherContig(data.data(), blk.block_idx() * 32);
+      }
+    });
+  };
+  const KernelStats plain = Launch(DeviceProps::TitanV(), cfg, &pool, kernel);
+  BlockMemo memo;
+  memo.dirty.assign(10, 1);
+  const KernelStats first =
+      Launch(DeviceProps::TitanV(), cfg, &pool, kernel, &memo);
+  for (int b : {2, 7}) memo.dirty[b] = 0;
+  const KernelStats second =
+      Launch(DeviceProps::TitanV(), cfg, &pool, kernel, &memo);
+  for (int b = 0; b < 10; ++b) {
+    EXPECT_EQ(hits[b].load(), b == 2 || b == 7 ? 2 : 3) << b;
+  }
+  for (const KernelStats& s : {first, second}) {
+    EXPECT_EQ(s.global_transactions, plain.global_transactions);
+    EXPECT_EQ(s.global_bytes_requested, plain.global_bytes_requested);
+    EXPECT_EQ(s.instructions, plain.instructions);
+    EXPECT_EQ(s.blocks_executed, 10u);
+  }
+}
+
 TEST(LaunchTest, DeterministicResultsUnderConcurrency) {
   ThreadPool pool(8);
   std::vector<uint32_t> counter(1, 0);

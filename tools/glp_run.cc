@@ -252,6 +252,14 @@ int main(int argc, char** argv) {
                 r.stats.LaneUtilization(),
                 static_cast<unsigned long long>(r.device_bytes >> 20));
   }
+  if (r.host_blocks_replayed > 0) {
+    std::printf("host: %llu LP blocks simulated, %llu replayed (%.1f%%)\n",
+                static_cast<unsigned long long>(r.host_blocks_executed),
+                static_cast<unsigned long long>(r.host_blocks_replayed),
+                100.0 * static_cast<double>(r.host_blocks_replayed) /
+                    static_cast<double>(r.host_blocks_executed +
+                                        r.host_blocks_replayed));
+  }
 
   if (args.profile && r.phase_breakdown.enabled) {
     std::printf("\n%s", r.phase_breakdown.ToString().c_str());
