@@ -7,8 +7,10 @@
 #include "glp/variants/classic.h"
 #include "glp/variants/llp.h"
 #include "glp/variants/slp.h"
+#include "graph/builder.h"
 #include "graph/datasets.h"
 #include "graph/generators.h"
+#include "util/rng.h"
 
 namespace glp::lp {
 namespace {
@@ -41,6 +43,26 @@ TEST(FrontierTest, ExactOnSlp) {
   run.seed = 17;
   cpu::SeqEngine<SlpVariant> seq;
   GlpEngine<SlpVariant> frontier({}, FrontierOpts());
+  EXPECT_EQ(seq.Run(g, run).value().labels,
+            frontier.Run(g, run).value().labels);
+}
+
+TEST(FrontierTest, ExactOnDirectedGraph) {
+  // A CSR row lists the in-neighbors a vertex reads from. On a directed
+  // graph the vertices that must recompute after v changes are those whose
+  // rows hold v, not the vertices in v's own row.
+  graph::GraphBuilder b(2000);
+  Rng rng(5);
+  for (int e = 0; e < 12000; ++e) {
+    const auto u = static_cast<graph::VertexId>(rng.Bounded(2000));
+    const auto v = static_cast<graph::VertexId>(rng.Bounded(2000));
+    if (u != v) b.AddEdgeUnchecked(u, v);
+  }
+  Graph g = b.Build(/*symmetrize=*/false);
+  RunConfig run;
+  run.max_iterations = 8;
+  cpu::SeqEngine<ClassicVariant> seq;
+  GlpEngine<ClassicVariant> frontier({}, FrontierOpts());
   EXPECT_EQ(seq.Run(g, run).value().labels,
             frontier.Run(g, run).value().labels);
 }

@@ -78,6 +78,21 @@ Graph PlantedPartitionGraph() {
   return graph::GeneratePlantedPartition(p);
 }
 
+/// Directed random graph: a vertex's readers are the rows that hold it,
+/// not the vertices in its own row.
+Graph DirectedGraph() {
+  graph::GraphBuilder b(2000);
+  Rng rng(5);
+  for (int e = 0; e < 30000; ++e) {
+    const auto u = static_cast<graph::VertexId>(rng.Bounded(2000));
+    const uint64_t r = rng.Bounded(2000);
+    // Skewed targets give some vertices in-degrees past the high bin.
+    const auto v = static_cast<graph::VertexId>(r * r / 2000);
+    if (u != v) b.AddEdgeUnchecked(u, v);
+  }
+  return b.Build(/*symmetrize=*/false);
+}
+
 struct Outcome {
   std::vector<uint64_t> fields;
   std::vector<graph::Label> labels;
@@ -169,7 +184,8 @@ TEST(BlockReplayTest, MatchesChainedSingleIterationRuns) {
   const std::vector<std::pair<std::string, Graph>> graphs = {
       {"powerlaw", PowerLawGraph()},
       {"weighted", WeightedBipartiteGraph()},
-      {"planted", PlantedPartitionGraph()}};
+      {"planted", PlantedPartitionGraph()},
+      {"directed", DirectedGraph()}};
   for (const auto& [gname, g] : graphs) {
     for (const auto& [mname, opts] : Modes()) {
       ExpectReplayMatchesChain<ClassicVariant>(gname + " " + mname +
