@@ -166,15 +166,14 @@ Result<PipelineResult> DetectOnSnapshot(
     // The span's own duration is host wall time; device_s puts the
     // simulated device seconds of the same run beside it, and
     // replayed_share the fraction of LP blocks the host replayed.
-    const uint64_t blocks =
-        lp_run.host_blocks_executed + lp_run.host_blocks_replayed;
+    const double replayed = static_cast<double>(lp_run.host_blocks_replayed);
+    const double blocks =
+        static_cast<double>(lp_run.host_blocks_executed) + replayed;
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.9g", lp_run.simulated_seconds);
     lp_span.AddLabel("device_s", buf);
     std::snprintf(buf, sizeof(buf), "%.4f",
-                  blocks == 0 ? 0.0
-                              : static_cast<double>(lp_run.host_blocks_replayed) /
-                                    static_cast<double>(blocks));
+                  blocks > 0 ? replayed / blocks : 0.0);
     lp_span.AddLabel("replayed_share", buf);
   }
   lp_span.End();

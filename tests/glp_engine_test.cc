@@ -181,7 +181,9 @@ TEST(GlpEngineTest, TinyHtFallbackCountIsExact) {
   graph::GraphBuilder b(kCliques * 5 + kHubs);
   for (VertexId c = 0; c < kCliques; ++c) {
     for (VertexId i = 0; i < 5; ++i) {
-      for (VertexId j = i + 1; j < 5; ++j) b.AddEdgeUnchecked(c * 5 + i, c * 5 + j);
+      for (VertexId j = i + 1; j < 5; ++j) {
+        b.AddEdgeUnchecked(c * 5 + i, c * 5 + j);
+      }
     }
   }
   for (VertexId h = 0; h < kHubs; ++h) {
