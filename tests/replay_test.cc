@@ -11,7 +11,6 @@
 // T-iteration run's, field for field and bit for bit.
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "glp/variants/degree_weighted.h"
 #include "glp/variants/llp.h"
 #include "glp/variants/slp.h"
+#include "golden_graphs.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -33,38 +33,9 @@ namespace {
 
 using graph::Graph;
 
-std::vector<uint64_t> Fields(const sim::KernelStats& k) {
-  return {k.global_transactions, k.global_bytes_requested, k.global_atomics,
-          k.global_atomic_conflicts, k.shared_accesses, k.shared_bank_conflicts,
-          k.shared_atomics, k.instructions, k.intrinsic_ops, k.block_reduces,
-          k.block_syncs, k.active_lane_cycles, k.total_lane_cycles,
-          k.kernel_launches, k.blocks_executed};
-}
-
-/// Low, mid and high degree bins all populated.
-Graph PowerLawGraph() {
-  graph::ChungLuParams p;
-  p.num_vertices = 3000;
-  p.num_edges = 24000;
-  p.exponent = 2.1;
-  p.seed = 7;
-  return graph::GenerateChungLu(p);
-}
-
-/// Weighted user-item multigraph with hub items (edge-weight gathers).
-Graph WeightedBipartiteGraph() {
-  const graph::VertexId users = 1500;
-  const graph::VertexId items = 300;
-  graph::GraphBuilder b(users + items);
-  Rng rng(11);
-  for (int e = 0; e < 16000; ++e) {
-    const auto u = static_cast<graph::VertexId>(rng.Bounded(users));
-    const uint64_t r = rng.Bounded(items);
-    const auto i = static_cast<graph::VertexId>(r * r / items);
-    b.AddEdgeUnchecked(u, users + i);
-  }
-  return b.BuildCollapsed(true);
-}
+using golden::Fields;
+using golden::PowerLawGraph;
+using golden::WeightedBipartiteGraph;
 
 /// Dense communities that converge within a few iterations, with hubs past
 /// the high-degree threshold.
