@@ -17,10 +17,11 @@
 // all-gather; hybrid mode adds the non-overlappable part of streaming the
 // CSR over PCIe each iteration.
 //
-// Host block replay (DESIGN.md §4.1): in the shared-memory modes, a
-// LabelPropagation block whose neighbors speak the same labels as two
-// iterations ago is not re-simulated; its stats and choices from then are
-// reused. The device is still charged for every block.
+// Host replay (DESIGN.md §4.1): in the shared-memory modes, a
+// LabelPropagation warp (low and mid kernels) or block (high kernel) whose
+// neighbors speak the same labels as two iterations ago is not
+// re-simulated; its stats and choices from then are reused. The device is
+// still charged for every block.
 
 #pragma once
 
@@ -73,28 +74,35 @@ inline uint64_t MarkTouched(const graph::Graph& g,
   return changed_edges;
 }
 
-/// Sizes `memo->dirty` to one flag per `per_block` consecutive entries of
-/// `ids` — a kernel's block-to-vertex map, kInvalidVertex entries being
-/// padding — and flags a block dirty when one of its vertices is touched,
-/// or every block when `touched` is null. Returns the dirty block count.
-inline uint64_t FlagDirtyBlocks(std::span<const graph::VertexId> ids,
-                                size_t per_block, const uint8_t* touched,
-                                sim::BlockMemo* memo) {
-  const size_t blocks = (ids.size() + per_block - 1) / per_block;
-  memo->dirty.assign(blocks, touched == nullptr ? 1 : 0);
-  if (touched == nullptr) return blocks;
-  uint64_t dirty = 0;
-  for (size_t b = 0; b < blocks; ++b) {
-    const size_t end = std::min(ids.size(), (b + 1) * per_block);
-    for (size_t i = b * per_block; i < end; ++i) {
+/// Flags the entries of `memo` for one launch. Entry e — a warp of a
+/// per-warp memo, else a block — computes the `per_entry` consecutive
+/// vertices of `ids` from e * per_entry (kInvalidVertex entries being
+/// padding); it is dirty when one of its vertices is touched, or always
+/// when `touched` is null. The memo is sized to the grid: entries past the
+/// end of `ids` (a last block's idle warps) compute nothing and stay clean.
+/// Returns the clean entries that compute vertices.
+inline uint64_t FlagDirtyEntries(std::span<const graph::VertexId> ids,
+                                 size_t per_entry, size_t warps_per_block,
+                                 const uint8_t* touched, sim::BlockMemo* memo) {
+  const size_t used = (ids.size() + per_entry - 1) / per_entry;
+  const size_t per_block = memo->per_warp ? warps_per_block : 1;
+  memo->dirty.assign((used + per_block - 1) / per_block * per_block, 0);
+  if (touched == nullptr) {
+    std::fill_n(memo->dirty.begin(), used, 1);
+    return 0;
+  }
+  uint64_t clean = 0;
+  for (size_t e = 0; e < used; ++e) {
+    const size_t end = std::min(ids.size(), (e + 1) * per_entry);
+    for (size_t i = e * per_entry; i < end; ++i) {
       if (ids[i] != graph::kInvalidVertex && touched[ids[i]] != 0) {
-        memo->dirty[b] = 1;
-        ++dirty;
+        memo->dirty[e] = 1;
         break;
       }
     }
+    clean += memo->dirty[e] == 0;
   }
-  return dirty;
+  return clean;
 }
 
 /// GLP over any variant policy.
@@ -134,8 +142,8 @@ class GlpEngine : public Engine {
 
   /// Vertices that took the Theorem-1 fallback path in the last run.
   uint64_t last_fallback_count() const { return fallback_count_; }
-  /// LabelPropagation blocks the host replayed instead of simulating in the
-  /// last run (RunResult::host_blocks_replayed).
+  /// LabelPropagation warps and blocks the host replayed instead of
+  /// simulating in the last run (RunResult::host_blocks_replayed).
   uint64_t last_replayed_blocks() const { return replayed_blocks_; }
   /// Low-bin packing efficiency of the last run.
   double last_plan_occupancy() const { return plan_occupancy_; }
@@ -146,6 +154,15 @@ class GlpEngine : public Engine {
     if (!config.initial_labels.empty() &&
         config.initial_labels.size() != g.num_vertices()) {
       return Status::InvalidArgument("initial_labels size mismatch");
+    }
+    // The warp-mapped kernels give each warp of a block its own vertex or
+    // round: a partial warp would redo the next block's first one.
+    if (options_.threads_per_block <= 0 ||
+        options_.threads_per_block % sim::kWarpSize != 0 ||
+        options_.threads_per_block > device_.max_threads_per_block) {
+      return Status::InvalidArgument(
+          "threads_per_block must be a positive multiple of 32 and at most " +
+          std::to_string(device_.max_threads_per_block));
     }
     glp::Timer timer;
     glp::ThreadPool* const pool = ctx.pool != nullptr ? ctx.pool : pool_;
@@ -257,10 +274,12 @@ class GlpEngine : public Engine {
     LabelHistory spoken_history, chosen_history;
     std::vector<uint8_t> affected;
     affected_counts_.clear();
-    // Per-block memos of each LabelPropagation launch, indexed by iteration
-    // parity and GPU; the high-degree kernel's per-block fallback flags
-    // live beside them (replayed blocks keep theirs).
+    // Memos of each LabelPropagation launch, indexed by iteration parity
+    // and GPU: per warp for the warp-mapped low and mid kernels, per block
+    // for the high-degree kernel, whose per-block fallback flags live
+    // beside its memo (replayed blocks keep theirs).
     struct KernelMemos {
+      KernelMemos() { low.per_warp = mid.per_warp = true; }
       sim::BlockMemo low, mid, high;
       std::vector<uint8_t> high_fell_back;
     };
@@ -268,7 +287,7 @@ class GlpEngine : public Engine {
                                          std::vector<KernelMemos>(num_gpus)};
     const size_t warps_per_block =
         static_cast<size_t>(options_.threads_per_block / sim::kWarpSize);
-    uint64_t blocks_executed = 0, blocks_replayed = 0;
+    uint64_t items_executed = 0, items_replayed = 0;
 
     // --- Iterations ---
     prof::PhaseProfiler* const profiler = ctx.profiler;
@@ -394,19 +413,25 @@ class GlpEngine : public Engine {
           phase += s;
           if (profiler != nullptr) bin_parts.push_back({p, s});
         };
-        // A launch's memo with its blocks flagged for this iteration: every
-        // block runs until the memo holds iteration t-2, then only those
-        // reading a touched vertex. `ids` maps blocks to vertices,
-        // `per_block` entries each. Null (run everything) without replay.
+        // A launch's memo with its warps or blocks flagged for this
+        // iteration: every entry runs until the memo holds iteration t-2,
+        // then only those reading a touched vertex. `ids` maps entries to
+        // vertices, `per_entry` each. Null (run everything) without
+        // replay. Counts the launch's host work items either way.
         KernelMemos& memo = memos[iter % 2][gpu];
-        uint64_t replayed_now = 0;
         auto flag = [&](sim::BlockMemo* m,
                         std::span<const graph::VertexId> ids,
-                        size_t per_block) -> sim::BlockMemo* {
-          if (!replay_active) return nullptr;
-          const uint64_t dirty = FlagDirtyBlocks(
-              ids, per_block, reuse ? affected.data() : nullptr, m);
-          replayed_now += m->dirty.size() - dirty;
+                        size_t per_entry) -> sim::BlockMemo* {
+          const uint64_t items = (ids.size() + per_entry - 1) / per_entry;
+          if (!replay_active) {
+            items_executed += items;
+            return nullptr;
+          }
+          const uint64_t clean =
+              FlagDirtyEntries(ids, per_entry, warps_per_block,
+                               reuse ? affected.data() : nullptr, m);
+          items_executed += items - clean;
+          items_replayed += clean;
           return m;
         };
         if (!use_smem) {
@@ -417,6 +442,7 @@ class GlpEngine : public Engine {
                    RunGlobalHtKernel(device_, pool, view, part.all_vertices,
                                      &part.arena,
                                      options_.threads_per_block));
+          items_executed += part.all_vertices.size();
         } else {
           if (use_warp_pack) {
             add_part(prof::Phase::kLowBin,
@@ -424,7 +450,7 @@ class GlpEngine : public Engine {
                          device_, pool, view, *plan_now,
                          options_.threads_per_block,
                          flag(&memo.low, plan_now->slot_vertex,
-                              warps_per_block * sim::kWarpSize)));
+                              sim::kWarpSize)));
             // Isolated low-bin vertices: trivial map kernel on its stream
             // that re-commits the current label — an isolated vertex has no
             // neighbors and must keep its label across iterations.
@@ -442,14 +468,14 @@ class GlpEngine : public Engine {
                      RunWarpPerVertexSmemKernel(
                          device_, pool, view, bins_now->low,
                          part.low_ht_capacity, options_.threads_per_block,
-                         flag(&memo.low, bins_now->low, warps_per_block)));
+                         flag(&memo.low, bins_now->low, 1)));
           }
           if (!bins_now->mid.empty()) {
             add_part(prof::Phase::kMidBin,
                      RunWarpPerVertexSmemKernel(
                          device_, pool, view, bins_now->mid,
                          part.mid_ht_capacity, options_.threads_per_block,
-                         flag(&memo.mid, bins_now->mid, warps_per_block)));
+                         flag(&memo.mid, bins_now->mid, 1)));
           }
           if (!bins_now->high.empty()) {
             std::vector<uint8_t>& fell_back = memo.high_fell_back;
@@ -462,8 +488,6 @@ class GlpEngine : public Engine {
             for (uint8_t f : fell_back) fallbacks += f;
           }
         }
-        blocks_executed += phase.blocks_executed - replayed_now;
-        blocks_replayed += replayed_now;
         phase.kernel_launches = 1;
         const double phase_seconds = acc.AddLaunchConcurrent(phase);
         gpu_seconds += phase_seconds;
@@ -550,9 +574,9 @@ class GlpEngine : public Engine {
     }
 
     fallback_count_ = fallbacks;
-    replayed_blocks_ = blocks_replayed;
-    result.host_blocks_executed = blocks_executed;
-    result.host_blocks_replayed = blocks_replayed;
+    replayed_blocks_ = items_replayed;
+    result.host_blocks_executed = items_executed;
+    result.host_blocks_replayed = items_replayed;
     result.labels = variant.FinalLabels();
     result.wall_seconds = timer.Seconds();
     result.stats = acc.total();

@@ -7,7 +7,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <span>
 
 #include "glp/run.h"
 #include "graph/csr.h"
@@ -125,12 +124,15 @@ inline void ApplyEdgeWeightsContig(sim::Warp& w,
 /// Procedure SharedMemBigNodes). On success, post_count[lane] holds the
 /// count *after* this lane's add.
 ///
-/// Returns the mask of lanes whose insert succeeded.
+/// Returns the mask of lanes whose insert succeeded. With `claimed`, the
+/// bitmap of occupied slots (bit s of word s / 64), each slot a lane claims
+/// is added to it.
 inline sim::LaneMask SharedHtInsert(
     sim::Warp& w, sim::SharedSpan<graph::Label>& keys,
     sim::SharedSpan<float>& counts, int capacity, int max_probes,
     const sim::LaneArray<graph::Label>& labels,
-    const sim::LaneArray<float>& weights, sim::LaneArray<float>* post_count) {
+    const sim::LaneArray<float>& weights, sim::LaneArray<float>* post_count,
+    uint64_t* claimed = nullptr) {
   const sim::LaneMask entry = w.active();
   sim::LaneMask pending = entry;
   sim::LaneMask succeeded = 0;
@@ -150,7 +152,12 @@ inline sim::LaneMask SharedHtInsert(
     sim::LaneMask hit = 0;
     sim::ForEachLane(pending, [&](int lane) {
       graph::Label& key = keys.data[slot[lane]];
-      if (key == graph::kInvalidLabel) key = labels[lane];
+      if (key == graph::kInvalidLabel) {
+        key = labels[lane];
+        if (claimed != nullptr) {
+          claimed[slot[lane] / 64] |= uint64_t{1} << (slot[lane] % 64);
+        }
+      }
       if (key == labels[lane]) {
         hit |= sim::LaneBit(lane);
         float& count = counts.data[slot[lane]];
@@ -262,25 +269,6 @@ inline void GlobalHtInsert(sim::Warp& w, graph::Label* keys, float* counts,
     }
   }
   w.SetActive(entry);
-}
-
-/// Block-wide argmax over one candidate per thread, charged as a tree
-/// reduction (BlockReduce in the paper's Procedure 1).
-inline Candidate BlockArgMax(sim::Block& blk,
-                             std::span<const Candidate> per_thread) {
-  blk.stats()->block_reduces += 1;
-  blk.stats()->block_syncs += 1;
-  Candidate best;
-  for (const Candidate& c : per_thread) best.Merge(c);
-  return best;
-}
-
-/// Carves a warp-private sub-span out of a block-level shared array.
-template <typename T>
-sim::SharedSpan<T> SubSpan(const sim::SharedSpan<T>& s, size_t offset,
-                           size_t len) {
-  return sim::SharedSpan<T>{s.data + offset, len,
-                            s.byte_offset + offset * sizeof(T)};
 }
 
 }  // namespace glp::lp

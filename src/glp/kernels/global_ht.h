@@ -66,6 +66,8 @@ sim::KernelStats RunGlobalHtKernel(const sim::DeviceProps& props,
                                    const std::vector<graph::VertexId>& vertices,
                                    GlobalHtArena* arena,
                                    int threads_per_block) {
+  // A partial warp would map to the next block's first vertex.
+  GLP_CHECK_EQ(threads_per_block % sim::kWarpSize, 0);
   const int warps_per_block = threads_per_block / sim::kWarpSize;
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   if (num_vertices == 0) return sim::KernelStats{};

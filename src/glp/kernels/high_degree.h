@@ -11,6 +11,7 @@
 
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 
@@ -25,13 +26,11 @@ namespace glp::lp {
 /// Per-row CMS seeds are fixed so results are reproducible.
 inline constexpr uint64_t kCmsSeedBase = 0xc3a5c85c97cb3127ULL;
 
-/// ThreadScratch slots of the high-degree kernel's per-block host state.
+/// ThreadScratch slots of the high-degree kernel's fallback global hash
+/// table.
 enum HighDegreeScratch : int {
-  kHtCandidates,    ///< per-thread best HT-counted candidate
-  kCmsCandidates,   ///< per-thread best CMS-estimated candidate
-  kGhtCandidates,   ///< per-thread best exact-recount candidate
-  kGhtKeys,         ///< fallback global hash table: keys
-  kGhtCounts,       ///< fallback global hash table: counts
+  kGhtKeys,    ///< keys
+  kGhtCounts,  ///< counts
 };
 
 /// Runs one LabelPropagation pass over `vertices`, one block per vertex,
@@ -40,12 +39,18 @@ enum HighDegreeScratch : int {
 /// vertex needed the global-memory path (summed, the quantity Theorem 1
 /// bounds). `memo` is passed to sim::Launch; blocks it replays leave their
 /// flag as it was.
+///
+/// Each thread's candidates are merged straight into one block-wide best
+/// per phase (the order-free argmax of the repository-wide tie-break), and
+/// each BlockReduce over them is charged without the per-thread arrays.
 template <typename Variant>
 sim::KernelStats RunHighDegreeBlockKernel(
     const sim::DeviceProps& props, glp::ThreadPool* pool,
     const DeviceView<Variant>& view,
     const std::vector<graph::VertexId>& vertices, const GlpOptions& opts,
     uint8_t* fell_back = nullptr, sim::BlockMemo* memo = nullptr) {
+  // The strided scans hand every warp whole 32-lane chunks.
+  GLP_CHECK_EQ(opts.threads_per_block % sim::kWarpSize, 0);
   const int64_t num_vertices = static_cast<int64_t>(vertices.size());
   if (num_vertices == 0) return sim::KernelStats{};
   sim::LaunchConfig cfg;
@@ -58,6 +63,18 @@ sim::KernelStats RunHighDegreeBlockKernel(
   // Probe budget before an insert is declared unsuccessful and routed to the
   // CMS: a fraction of the table keeps worst-case probing bounded.
   const int max_probes = std::max(8, h / 16);
+  // Charges of the cooperative zero-fill of the HT keys, whichever warp
+  // clears which chunk: one stride-1 store per 32 slots.
+  sim::KernelStats clear_keys;
+  {
+    sim::Warp w(0, sim::kFullMask, &clear_keys);
+    for (int base = 0; base < h; base += sim::kWarpSize) {
+      const int lanes = std::min(sim::kWarpSize, h - base);
+      w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
+                                          : ((1u << lanes) - 1u));
+      w.ChargeSharedContig<graph::Label>();
+    }
+  }
 
   return sim::Launch(props, cfg, pool, [=](sim::Block& blk) {
     const graph::VertexId v = vlist[blk.block_idx()];
@@ -67,28 +84,20 @@ sim::KernelStats RunHighDegreeBlockKernel(
 
     auto ht_keys = blk.shared().Alloc<graph::Label>(h);
     auto ht_counts = blk.shared().Alloc<float>(h);
-    auto cms = blk.shared().Alloc<float>(static_cast<size_t>(d) * cw);
+    // The CMS is allocated right after the HT (so at the same offset) when
+    // the first label spills; most blocks never touch it.
+    sim::SharedSpan<float> cms;
 
-    // Zero-fill HT keys cooperatively (counts/CMS arrive zeroed from Alloc,
-    // but a real kernel would memset; charge the stores).
-    blk.ForEachWarp([&](sim::Warp& w) {
-      for (int base = w.warp_id() * sim::kWarpSize; base < h;
-           base += threads) {
-        const int lanes = std::min(sim::kWarpSize, h - base);
-        w.SetActive(lanes >= sim::kWarpSize ? sim::kFullMask
-                                            : ((1u << lanes) - 1u));
-        sim::LaneArray<graph::Label> inv(graph::kInvalidLabel);
-        w.SharedStoreContig(ht_keys, base, inv);
-      }
-    });
+    // Clear the HT keys (the warps' cooperative stores, charged as such;
+    // counts and the CMS arrive zeroed from Alloc, as a real kernel's
+    // memset would leave them).
+    std::fill_n(ht_keys.data, h, graph::kInvalidLabel);
+    *blk.stats() += clear_keys;
     blk.Sync();
 
     // --- Phase 1: single scan of the neighbor list (Procedure 1, lines
     // 1-10), threads strided across the list. ---
-    const std::span<Candidate> ht_cand =
-        blk.scratch().Get(kHtCandidates, threads, Candidate{});
-    const std::span<Candidate> cm_cand =
-        blk.scratch().Get(kCmsCandidates, threads, Candidate{});
+    Candidate s_ht, s_cm;
 
     blk.ForEachWarp([&](sim::Warp& w) {
       for (int64_t base = static_cast<int64_t>(w.warp_id()) * sim::kWarpSize;
@@ -121,10 +130,9 @@ sim::KernelStats RunHighDegreeBlockKernel(
           w.SetActive(ok);
           const sim::LaneArray<double> aux = GatherAux(w, view, lbl);
           sim::ForEachLane(ok, [&](int l) {
-            const int tid = w.warp_id() * sim::kWarpSize + l;
             const double score =
                 view.variant->Score(v, lbl[l], post[l], aux[l]);
-            ht_cand[tid].Merge(Candidate{score, lbl[l]});
+            s_ht.Merge(Candidate{score, lbl[l]});
           });
           w.CountInstr();
         }
@@ -132,6 +140,9 @@ sim::KernelStats RunHighDegreeBlockKernel(
         // Unsuccessful lanes spill to the CMS.
         const sim::LaneMask spill = mask & ~ok;
         if (spill != 0) {
+          if (cms.data == nullptr) {
+            cms = blk.shared().Alloc<float>(static_cast<size_t>(d) * cw);
+          }
           sim::LaneArray<float> est(std::numeric_limits<float>::max());
           for (int r = 0; r < d; ++r) {
             sim::LaneArray<int> bucket;
@@ -151,9 +162,8 @@ sim::KernelStats RunHighDegreeBlockKernel(
           w.SetActive(spill);
           const sim::LaneArray<double> aux = GatherAux(w, view, lbl);
           sim::ForEachLane(spill, [&](int l) {
-            const int tid = w.warp_id() * sim::kWarpSize + l;
             const double score = view.variant->Score(v, lbl[l], est[l], aux[l]);
-            cm_cand[tid].Merge(Candidate{score, lbl[l]});
+            s_cm.Merge(Candidate{score, lbl[l]});
           });
           w.CountInstr();
         }
@@ -162,8 +172,8 @@ sim::KernelStats RunHighDegreeBlockKernel(
     });
 
     // --- Phase 2: block reductions (lines 11-12). ---
-    const Candidate s_ht = BlockArgMax(blk, ht_cand);
-    const Candidate s_cm = BlockArgMax(blk, cm_cand);
+    blk.ChargeReduce();
+    blk.ChargeReduce();
 
     Candidate winner = s_ht;
     // The paper commits the HT winner when s(HT) >= s(CMS); with the
@@ -186,8 +196,7 @@ sim::KernelStats RunHighDegreeBlockKernel(
           (static_cast<uint64_t>(ghtc) * 8 + 31) / 32;
       blk.stats()->global_bytes_requested += static_cast<uint64_t>(ghtc) * 8;
 
-      const std::span<Candidate> gt_cand =
-          blk.scratch().Get(kGhtCandidates, threads, Candidate{});
+      Candidate s_gt;
       blk.ForEachWarp([&](sim::Warp& w) {
         for (int64_t base =
                  static_cast<int64_t>(w.warp_id()) * sim::kWarpSize;
@@ -223,17 +232,16 @@ sim::KernelStats RunHighDegreeBlockKernel(
                            wgt, &post);
             const sim::LaneArray<double> aux = GatherAux(w, view, lbl);
             sim::ForEachLane(miss, [&](int l) {
-              const int tid = w.warp_id() * sim::kWarpSize + l;
               const double score =
                   view.variant->Score(v, lbl[l], post[l], aux[l]);
-              gt_cand[tid].Merge(Candidate{score, lbl[l]});
+              s_gt.Merge(Candidate{score, lbl[l]});
             });
             w.CountInstr();
           }
           w.SetActive(sim::kFullMask);
         }
       });
-      const Candidate s_gt = BlockArgMax(blk, gt_cand);
+      blk.ChargeReduce();
       winner.Merge(s_gt);
     }
 

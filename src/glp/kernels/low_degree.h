@@ -13,36 +13,107 @@
 // Frequencies come from popcounts, so this kernel requires unit neighbor
 // weights (all of the paper's variants are unit-weight); engines route
 // non-unit-weight variants to the warp-per-vertex kernel instead.
+//
+// Most of a round does not depend on labels: the slot load, the ballot, the
+// match on vertex ids, the offsets and neighbor gathers, and the sector
+// counts of the label gather and the Lnext scatter are fixed by the graph
+// and the plan. The plan builder works them out once per run from the CSR
+// and charges them through sim::Warp's charge-only calls; each pass then
+// loads labels, groups them within each vertex, scores and writes Lnext,
+// and adds the round's recorded prefix charges.
 
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <vector>
 
 #include "glp/kernels/common.h"
 #include "sim/block.h"
 #include "sim/launch.h"
+#include "util/logging.h"
 
 namespace glp::lp {
 
 /// Lane assignment for the low-degree kernel: rounds of 32 slots, each slot
-/// one lane of a vertex, vertices never straddling rounds. Only the vertex
-/// id is materialized — a lane derives its edge index as
+/// one lane of a vertex, vertices never straddling rounds. On the device
+/// only the vertex id is materialized — a lane derives its edge index as
 /// offsets[v] + popc(vmask & lanes_below), since a vertex's slots are
 /// contiguous in lane order and cover its whole neighbor list. Built once
 /// per run (the graph is static) and resident on the device.
+///
+/// The plan also carries the host-side round prefix: per slot the neighbor
+/// its lane reads, and per round the lanes the ballot selects, the first
+/// lane of each vertex, and the charges of the round's label-independent
+/// operations. The simulated kernel would recompute these every pass; they
+/// are a host memo, not device state, so device_bytes() leaves them out.
 struct LowDegreePlan {
+  /// The label-independent part of one round.
+  struct Round {
+    sim::LaneMask active = 0;          ///< the ballot over valid slots
+    sim::LaneMask vertex_leaders = 0;  ///< the first lane of each vertex
+    sim::KernelStats prefix;           ///< charges of the fixed operations
+  };
+
   std::vector<graph::VertexId> slot_vertex;  ///< kInvalidVertex = padding
   int64_t num_rounds = 0;
   /// Low-bin vertices with zero degree (handled by a trivial map kernel).
   std::vector<graph::VertexId> isolated;
   /// Fraction of lane slots carrying real work (packing efficiency).
   double occupancy = 0;
+  /// Host memo: the neighbor each slot reads (kInvalidVertex = padding).
+  std::vector<graph::VertexId> slot_neighbor;
+  /// Host memo: one entry per round.
+  std::vector<Round> rounds;
 
   uint64_t device_bytes() const {
     return slot_vertex.size() * sizeof(graph::VertexId);
   }
 };
+
+/// Records round `r`'s lanes and the charges of everything the kernel does
+/// in it that does not read a label, in the kernel's order of operations.
+inline LowDegreePlan::Round LowDegreeRoundPrefix(const graph::Graph& g,
+                                                 const LowDegreePlan& plan,
+                                                 int64_t r) {
+  LowDegreePlan::Round round;
+  const int64_t base = r * sim::kWarpSize;
+  const graph::VertexId* vid = plan.slot_vertex.data() + base;
+  sim::Warp w(0, sim::kFullMask, &round.prefix);
+  w.ChargeGatherContig<graph::VertexId>(base);  // slot assignment
+  w.ChargeIntrinsic();                          // __ballot_sync
+  for (int l = 0; l < sim::kWarpSize; ++l) {
+    if (vid[l] == graph::kInvalidVertex) continue;
+    round.active |= sim::LaneBit(l);
+    if (l == 0 || vid[l - 1] != vid[l]) {
+      round.vertex_leaders |= sim::LaneBit(l);
+    }
+  }
+  if (round.active == 0) return round;
+  w.SetActive(round.active);
+  w.ChargeIntrinsic();  // __match_any_sync on vertex ids
+  sim::LaneArray<int64_t> vidx, eidx, nidx;
+  sim::ForEachLane(round.active, [&](int l) {
+    vidx[l] = vid[l];
+    const int rank = l - (31 - std::countl_zero(round.vertex_leaders &
+                                                (sim::LaneBit(l) * 2 - 1)));
+    eidx[l] = g.offsets_data()[vid[l]] + rank;
+    nidx[l] = plan.slot_neighbor[base + l];
+  });
+  w.ChargeGather<graph::EdgeId>(vidx);    // offsets[v]
+  w.ChargeIntrinsic();                    // popc for the rank
+  w.ChargeGather<graph::VertexId>(eidx);  // neighbors[edge]
+  w.ChargeGather<graph::Label>(nidx);     // labels[neighbor]
+  w.ChargeIntrinsic();                    // __match_any_sync on labels
+  w.CountInstr();                         // lmask &= vmask
+  w.stats()->intrinsic_ops += 1;          // popc: frequencies
+  // (The label leaders' scoring is label-dependent: charged per pass.)
+  w.stats()->intrinsic_ops += 5;  // per-vertex argmax shuffles
+  w.CountInstr(5);
+  w.SetActive(round.vertex_leaders);
+  w.ChargeGather<graph::Label>(vidx);  // Lnext scatter
+  return round;
+}
 
 /// Greedy first-fit packing of the low bin. Vertices are packed in *id*
 /// order so that the slot_edge sequence walks the CSR nearly contiguously —
@@ -56,6 +127,13 @@ inline LowDegreePlan BuildLowDegreePlan(
   std::sort(by_id.begin(), by_id.end());
   int fill = sim::kWarpSize;  // force a fresh round on first vertex
   int64_t used_slots = 0;
+  auto pad = [&] {
+    while (fill < sim::kWarpSize) {
+      plan.slot_vertex.push_back(graph::kInvalidVertex);
+      plan.slot_neighbor.push_back(graph::kInvalidVertex);
+      ++fill;
+    }
+  };
   for (graph::VertexId v : by_id) {
     const int deg = static_cast<int>(g.degree(v));
     if (deg == 0) {
@@ -64,31 +142,34 @@ inline LowDegreePlan BuildLowDegreePlan(
     }
     if (fill + deg > sim::kWarpSize) {
       // Pad the current round and open a new one.
-      while (fill < sim::kWarpSize) {
-        plan.slot_vertex.push_back(graph::kInvalidVertex);
-        ++fill;
-      }
+      pad();
       fill = 0;
     }
-    for (int i = 0; i < deg; ++i) plan.slot_vertex.push_back(v);
+    for (graph::VertexId u : g.neighbors(v)) {
+      plan.slot_vertex.push_back(v);
+      plan.slot_neighbor.push_back(u);
+    }
     fill += deg;
     used_slots += deg;
   }
-  while (fill < sim::kWarpSize && fill > 0) {
-    plan.slot_vertex.push_back(graph::kInvalidVertex);
-    ++fill;
-  }
+  if (fill > 0) pad();
   plan.num_rounds =
       static_cast<int64_t>(plan.slot_vertex.size()) / sim::kWarpSize;
   plan.occupancy = plan.slot_vertex.empty()
                        ? 1.0
                        : static_cast<double>(used_slots) /
                              static_cast<double>(plan.slot_vertex.size());
+  plan.rounds.reserve(static_cast<size_t>(plan.num_rounds));
+  for (int64_t r = 0; r < plan.num_rounds; ++r) {
+    plan.rounds.push_back(LowDegreeRoundPrefix(g, plan, r));
+  }
   return plan;
 }
 
 /// Runs one LabelPropagation pass over the packed low-degree rounds, one
-/// warp per round. `memo` is passed to sim::Launch.
+/// warp per round, adding each round's prefix charges and doing its
+/// label-dependent work. `memo` is passed to sim::Launch; a per-warp memo
+/// has one entry per round (padded to whole blocks).
 template <typename Variant>
 sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
                                         glp::ThreadPool* pool,
@@ -96,113 +177,74 @@ sim::KernelStats RunLowDegreeWarpKernel(const sim::DeviceProps& props,
                                         const LowDegreePlan& plan,
                                         int threads_per_block,
                                         sim::BlockMemo* memo = nullptr) {
+  // A round fills a whole warp: the slot load runs on all 32 lanes.
+  GLP_CHECK_EQ(threads_per_block % sim::kWarpSize, 0);
   const int warps_per_block = threads_per_block / sim::kWarpSize;
-  const int64_t rounds =
-      static_cast<int64_t>(plan.slot_vertex.size()) / sim::kWarpSize;
+  const int64_t rounds = plan.num_rounds;
   if (rounds == 0) return sim::KernelStats{};
   sim::LaunchConfig cfg;
   cfg.threads_per_block = threads_per_block;
   cfg.num_blocks = (rounds + warps_per_block - 1) / warps_per_block;
-  const graph::VertexId* slot_vertex = plan.slot_vertex.data();
 
-  return sim::Launch(props, cfg, pool, [=](sim::Block& blk) {
+  return sim::Launch(props, cfg, pool, [&](sim::Block& blk) {
     blk.ForEachWarp([&](sim::Warp& w) {
-      const int64_t round =
-          blk.block_idx() * warps_per_block + w.warp_id();
+      const int64_t round = blk.block_idx() * warps_per_block + w.warp_id();
       if (round >= rounds) return;
+      const LowDegreePlan::Round& r = plan.rounds[round];
+      *w.stats() += r.prefix;
+      if (r.active == 0) return;
       const int64_t base = round * sim::kWarpSize;
+      const graph::VertexId* nbr = plan.slot_neighbor.data() + base;
 
-      // Load this round's slot assignment (fully coalesced).
-      const sim::LaneArray<graph::VertexId> vid =
-          w.GatherContig(slot_vertex, base);
+      // Load the neighbors' labels.
+      sim::LaneArray<graph::Label> lbl(graph::kInvalidLabel);
+      sim::ForEachLane(r.active, [&](int l) { lbl[l] = view.labels[nbr[l]]; });
 
-      // Step 1: __ballot_sync over slot validity.
-      sim::LaneArray<int> valid_pred;
-      sim::ForEachLane(sim::kFullMask, [&](int l) {
-        valid_pred[l] = vid[l] != graph::kInvalidVertex ? 1 : 0;
-      });
-      const sim::LaneMask active = w.BallotSync(valid_pred);
-      if (active == 0) return;
-      w.SetActive(active);
-
-      // Step 2 (early): group lanes by vertex — also yields each lane's rank
-      // within its vertex, from which the edge index is derived without a
-      // materialized slot_edge array.
-      const sim::LaneArray<sim::LaneMask> vmask = w.MatchAnySync(vid, active);
-
-      // Each vertex's lanes cover its full neighbor list in lane order:
-      // edge = offsets[v] + rank(lane within vmask).
-      sim::LaneArray<int64_t> voff_idx;
-      sim::ForEachLane(active, [&](int l) { voff_idx[l] = vid[l]; });
-      const sim::LaneArray<graph::EdgeId> voff =
-          w.Gather(view.offsets, voff_idx);
-      sim::LaneArray<graph::EdgeId> eidx;
-      sim::ForEachLane(active, [&](int l) {
-        const int rank = sim::Popc(vmask[l] & (sim::LaneBit(l) - 1u));
-        eidx[l] = voff[l] + rank;
-      });
-      w.stats()->intrinsic_ops += 1;  // popc for the rank
-      w.CountInstr();
-
-      // Load the assigned neighbor and its label.
-      const sim::LaneArray<graph::VertexId> nbr =
-          w.Gather(view.neighbors, eidx);
-      sim::LaneArray<int64_t> lidx;
-      sim::ForEachLane(active, [&](int l) { lidx[l] = nbr[l]; });
-      const sim::LaneArray<graph::Label> lbl = w.Gather(view.labels, lidx);
-
-      // Step 3: sub-group by label within each vertex group.
-      const sim::LaneArray<sim::LaneMask> lmask_raw =
-          w.MatchAnySync(lbl, active);
-      sim::LaneArray<sim::LaneMask> lmask;
-      sim::ForEachLane(active,
-                       [&](int l) { lmask[l] = lmask_raw[l] & vmask[l]; });
-      w.CountInstr();
-
-      // Step 4: frequency = __popc(lmask); one label leader per group.
-      w.stats()->intrinsic_ops += 1;  // popc
+      // Group equal labels within each vertex's lanes (the label match
+      // intersected with vmask): the lowest lane of a group leads it and
+      // its frequency is the group's size.
       sim::LaneMask label_leaders = 0;
-      sim::ForEachLane(active, [&](int l) {
-        if (sim::FirstLane(lmask[l]) == l) label_leaders |= sim::LaneBit(l);
+      sim::LaneArray<int> freq(0);
+      auto for_each_vertex = [&](auto&& fn) {
+        for (sim::LaneMask lead = r.vertex_leaders; lead != 0;
+             lead &= lead - 1) {
+          const int first = std::countr_zero(lead);
+          const sim::LaneMask later = lead & (lead - 1);
+          const sim::LaneMask below_next =
+              later == 0 ? sim::kFullMask : (later & -later) - 1u;
+          fn(first, r.active & below_next & ~(sim::LaneBit(first) - 1u));
+        }
+      };
+      for_each_vertex([&](int, sim::LaneMask group) {
+        for (sim::LaneMask rest = group; rest != 0;) {
+          const int lead = std::countr_zero(rest);
+          const graph::Label x = lbl[lead];
+          sim::LaneMask peers = 0;
+          for (sim::LaneMask m = rest; m != 0; m &= m - 1) {
+            const int l = std::countr_zero(m);
+            if (lbl[l] == x) peers |= sim::LaneBit(l);
+          }
+          label_leaders |= sim::LaneBit(lead);
+          freq[lead] = sim::Popc(peers);
+          rest &= ~peers;
+        }
       });
 
       // Label leaders score their group's frequency.
-      sim::LaneArray<double> score(
-          -std::numeric_limits<double>::infinity());
-      if (label_leaders != 0) {
-        w.SetActive(label_leaders);
-        const sim::LaneArray<double> aux = GatherAux(w, view, lbl);
-        sim::ForEachLane(label_leaders, [&](int l) {
-          const double freq = sim::Popc(lmask[l]);
-          score[l] = view.variant->Score(vid[l], lbl[l], freq, aux[l]);
-        });
-        w.CountInstr();
-      }
+      w.SetActive(label_leaders);
+      const sim::LaneArray<double> aux = GatherAux(w, view, lbl);
+      w.CountInstr();
 
-      // Per-vertex argmax across that vertex's label leaders (butterfly
-      // shuffles over vmask groups).
-      w.stats()->intrinsic_ops += 5;
-      w.SetActive(active);
-      w.CountInstr(5);
-      sim::LaneMask vertex_leaders = 0;
-      sim::LaneArray<graph::Label> winner(graph::kInvalidLabel);
-      sim::ForEachLane(active, [&](int l) {
-        if (sim::FirstLane(vmask[l]) != l) return;
-        vertex_leaders |= sim::LaneBit(l);
+      // Per-vertex argmax across its label leaders; Lnext[v] = winner.
+      for_each_vertex([&](int first, sim::LaneMask group) {
+        const graph::VertexId v = plan.slot_vertex[base + first];
         Candidate best;
-        sim::ForEachLane(vmask[l] & label_leaders, [&](int peer) {
-          best.Merge(Candidate{score[peer], lbl[peer]});
+        sim::ForEachLane(group & label_leaders, [&](int l) {
+          best.Merge(Candidate{view.variant->Score(v, lbl[l], freq[l], aux[l]),
+                               lbl[l]});
         });
-        winner[l] = best.label;
+        view.next[v] = best.label;
       });
-
-      // Vertex leaders scatter Lnext (one store per vertex in the round).
-      w.SetActive(vertex_leaders);
-      sim::LaneArray<int64_t> out_idx;
-      sim::ForEachLane(vertex_leaders,
-                       [&](int l) { out_idx[l] = vid[l]; });
-      w.Scatter(view.next, out_idx, winner);
-      w.SetActive(sim::kFullMask);
     });
   }, memo);
 }

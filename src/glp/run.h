@@ -230,9 +230,12 @@ struct RunResult {
   /// Peak device-resident bytes the engine required (memory-overhead
   /// comparison of §5.2).
   uint64_t device_bytes = 0;
-  /// Thread blocks of the LabelPropagation kernels the host simulated, and
-  /// those it replayed from an earlier iteration's block memo instead (GLP
-  /// engine; DESIGN.md §4.1). The device runs every block either way —
+  /// LabelPropagation work items the host simulated, and those it replayed
+  /// from an earlier iteration's memo instead (GLP engine; DESIGN.md §4.1).
+  /// An item is a warp of the low-degree and warp-per-vertex kernels (one
+  /// packed round or one vertex) and of the global-HT kernel (one vertex),
+  /// and a block of the high-degree kernel (one vertex); each pass counts
+  /// each item once. The device runs every block either way —
   /// stats.blocks_executed counts them all — so these two measure host
   /// work only and stay out of `stats`.
   uint64_t host_blocks_executed = 0;

@@ -165,15 +165,16 @@ Result<PipelineResult> DetectOnSnapshot(
     lp_span.AddLabel("iterations", std::to_string(lp_run.iterations));
     // The span's own duration is host wall time; device_s puts the
     // simulated device seconds of the same run beside it, and
-    // replayed_share the fraction of LP blocks the host replayed.
+    // replayed_share the fraction of LP host work items (warps of the low
+    // and mid kernels, blocks of the high kernel) the host replayed.
     const double replayed = static_cast<double>(lp_run.host_blocks_replayed);
-    const double blocks =
+    const double items =
         static_cast<double>(lp_run.host_blocks_executed) + replayed;
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.9g", lp_run.simulated_seconds);
     lp_span.AddLabel("device_s", buf);
     std::snprintf(buf, sizeof(buf), "%.4f",
-                  blocks > 0 ? replayed / blocks : 0.0);
+                  items > 0 ? replayed / items : 0.0);
     lp_span.AddLabel("replayed_share", buf);
   }
   lp_span.End();

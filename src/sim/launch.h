@@ -5,11 +5,11 @@
 // per worker chunk and merged, so counting never contends. Results and stats
 // are deterministic because all counted quantities are order-independent.
 //
-// A launch may carry a BlockMemo: per-block stats kept from an earlier
-// launch of the same grid. Blocks the caller flags clean are not simulated;
-// their cached stats are added instead. That is exact only when the caller
-// knows each clean block would count and write the same as when its entry
-// was recorded (and restores those writes itself).
+// A launch may carry a BlockMemo: per-block or per-warp stats kept from an
+// earlier launch of the same grid. Blocks (or warps) the caller flags clean
+// are not simulated; their cached stats are added instead. That is exact
+// only when the caller knows each clean one would count and write the same
+// as when its entry was recorded (and restores those writes itself).
 
 #pragma once
 
@@ -30,29 +30,36 @@ struct LaunchConfig {
   int threads_per_block = 256;
 };
 
-/// \brief Per-block stats of one launch site, kept across launches.
+/// \brief Per-block or per-warp stats of one launch site, kept across
+/// launches.
 ///
-/// `dirty` has one flag per block of the grid; the caller sets it before
-/// each launch. A dirty block is simulated into its own `stats` entry; a
-/// clean block adds the entry recorded when it last ran.
+/// `dirty` has one flag per entry; the caller sets it before each launch.
+/// An entry is a block of the grid, or with `per_warp` a warp (entry
+/// b * warps_per_block + w). A dirty entry is simulated into its own
+/// `stats` slot; a clean one adds the slot recorded when it last ran. Under
+/// `per_warp` every block runs, and Block::ForEachWarp skips its clean warps.
 struct BlockMemo {
+  bool per_warp = false;
   std::vector<KernelStats> stats;
   std::vector<uint8_t> dirty;
 };
 
 /// Executes `kernel(Block&)` for every block in the grid and returns the
 /// accumulated stats (kernel_launches == 1). `pool == nullptr` runs on the
-/// calling thread only. With a `memo`, only its dirty blocks run (see
-/// BlockMemo); the returned stats are the same sum either way, since every
-/// field is a counter.
+/// calling thread only. With a `memo`, only its dirty blocks or warps run
+/// (see BlockMemo); the returned stats are the same sum either way, since
+/// every field is a counter.
 template <typename KernelFn>
 KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
                    glp::ThreadPool* pool, KernelFn&& kernel,
                    BlockMemo* memo = nullptr) {
   GLP_CHECK_GT(cfg.threads_per_block, 0);
   GLP_CHECK_LE(cfg.threads_per_block, props.max_threads_per_block);
+  const int64_t warps = (cfg.threads_per_block + kWarpSize - 1) / kWarpSize;
   if (memo != nullptr) {
-    GLP_CHECK_EQ(memo->dirty.size(), static_cast<size_t>(cfg.num_blocks));
+    const int64_t per_block = memo->per_warp ? warps : 1;
+    GLP_CHECK_EQ(memo->dirty.size(),
+                 static_cast<size_t>(cfg.num_blocks * per_block));
     memo->stats.resize(memo->dirty.size());
   }
 
@@ -68,6 +75,12 @@ KernelStats Launch(const DeviceProps& props, const LaunchConfig& cfg,
     for (int64_t b = lo; b < hi; ++b) {
       if (memo == nullptr) {
         Block blk(b, cfg.threads_per_block, &shared, &local, &scratch);
+        kernel(blk);
+        continue;
+      }
+      if (memo->per_warp) {
+        const WarpMemo slice{&memo->stats[b * warps], &memo->dirty[b * warps]};
+        Block blk(b, cfg.threads_per_block, &shared, &local, &scratch, slice);
         kernel(blk);
         continue;
       }

@@ -62,7 +62,7 @@ class Warp {
 
   /// __ballot_sync: mask of active lanes whose predicate is non-zero.
   LaneMask BallotSync(const LaneArray<int>& pred) {
-    CountIntrinsic();
+    ChargeIntrinsic();
     LaneMask out = 0;
     ForEachLane(active_, [&](int lane) {
       if (pred[lane] != 0) out |= LaneBit(lane);
@@ -84,7 +84,7 @@ class Warp {
   LaneArray<LaneMask> MatchAnySync(const LaneArray<T>& v, LaneMask group) {
     static_assert(std::is_integral_v<T>,
                   "__match_any_sync compares integer bit patterns");
-    CountIntrinsic();
+    ChargeIntrinsic();
     LaneArray<LaneMask> out(0);
     LaneMask rest = group;
     while (rest != 0) {
@@ -98,7 +98,7 @@ class Warp {
   /// __shfl_sync: every active lane reads lane `src_lane`'s value.
   template <typename T>
   LaneArray<T> ShflSync(const LaneArray<T>& v, int src_lane) {
-    CountIntrinsic();
+    ChargeIntrinsic();
     LaneArray<T> out{};
     ForEachLane(active_, [&](int lane) { out[lane] = v[src_lane]; });
     return out;
@@ -107,7 +107,7 @@ class Warp {
   /// __shfl_sync with a per-lane source index.
   template <typename T>
   LaneArray<T> ShflIdxSync(const LaneArray<T>& v, const LaneArray<int>& src) {
-    CountIntrinsic();
+    ChargeIntrinsic();
     LaneArray<T> out{};
     ForEachLane(active_, [&](int lane) { out[lane] = v[src[lane]]; });
     return out;
@@ -299,6 +299,69 @@ class Warp {
     CountInstr();
   }
 
+  // ------------------------------------------------------------------
+  // Charge-only calls: what an access or intrinsic costs, without its
+  // lane work. For kernels that know the outcome already (a
+  // label-independent prefix computed once per run, a table whose
+  // occupied slots are tracked on the host). Each charges exactly what
+  // the functional call named beside it does.
+  // ------------------------------------------------------------------
+
+  /// One warp intrinsic (ballot, match_any, shfl, popc).
+  void ChargeIntrinsic() {
+    stats_->intrinsic_ops += 1;
+    CountInstr();
+  }
+
+  /// Gather(base, idx) or Scatter(base, idx, val) on an array of T.
+  template <typename T, typename Index>
+  void ChargeGather(const LaneArray<Index>& idx) {
+    uint64_t sectors[kWarpSize];
+    int n = 0;
+    ForEachLane(active_,
+                [&](int lane) { sectors[n++] = Sector<T>(idx[lane]); });
+    ChargeGlobalAccess(sectors, n, sizeof(T));
+  }
+
+  /// GatherContig(base, start) on an array of T.
+  template <typename T>
+  void ChargeGatherContig(int64_t start) {
+    ChargeContigAccess<T>(start);
+  }
+
+  /// SharedLoadContig or SharedStoreContig on a shared array of T.
+  template <typename T>
+  void ChargeSharedContig() {
+    // Word-aligned elements put every lane's first byte on a word boundary
+    // (SharedMemory aligns each span to alignof(T)).
+    static_assert(sizeof(T) % 4 == 0 && alignof(T) % 4 == 0,
+                  "stride-1 closed form needs word-sized, word-aligned "
+                  "elements; use SharedLoad/SharedStore");
+    CountInstr();
+    stats_->shared_accesses += 1;
+    // Bank conflicts of a stride-1 access s[start + lane] in closed form.
+    // With k-word elements lane l's word is w0 + k*l, so lanes l and l'
+    // share a bank iff k(l - l') = 0 mod 32, i.e. iff they are congruent
+    // mod P = 32 / gcd(k, 32), and then always on distinct words; the
+    // replay count is the fullest residue class of active lanes, minus
+    // one, whatever the span's offset or `start`.
+    constexpr int kWords = static_cast<int>(sizeof(T) / 4);
+    constexpr int kPeriod = kWarpSize / std::gcd(kWords, kWarpSize);
+    if constexpr (kPeriod < kWarpSize) {
+      LaneMask every_period = 0;
+      for (int lane = 0; lane < kWarpSize; lane += kPeriod) {
+        every_period |= LaneBit(lane);
+      }
+      int max_mult = 0;
+      for (int r = 0; r < kPeriod; ++r) {
+        max_mult = std::max(max_mult, Popc((active_ >> r) & every_period));
+      }
+      if (max_mult > 1) {
+        stats_->shared_bank_conflicts += static_cast<uint64_t>(max_mult - 1);
+      }
+    }
+  }
+
  private:
   /// The 32B sector holding element `i` of an array, in the device address
   /// space: the element's byte offset from the array base over 32. Bases are
@@ -307,11 +370,6 @@ class Warp {
   template <typename T, typename Index>
   static uint64_t Sector(Index i) {
     return static_cast<uint64_t>(i) * sizeof(T) / 32;
-  }
-
-  void CountIntrinsic() {
-    stats_->intrinsic_ops += 1;
-    CountInstr();
   }
 
   /// Coalescing: one transaction per distinct sector touched by the warp.
@@ -394,38 +452,6 @@ class Warp {
       max_mult = std::max(max_mult, ++per_bank[bank]);
     }
     stats_->shared_bank_conflicts += static_cast<uint64_t>(max_mult - 1);
-  }
-
-  /// Bank conflicts of a stride-1 access s[start + lane] in closed form.
-  /// With k-word elements lane l's word is w0 + k*l, so lanes l and l' share
-  /// a bank iff k(l - l') = 0 mod 32, i.e. iff they are congruent mod
-  /// P = 32 / gcd(k, 32), and then always on distinct words; the replay
-  /// count is the fullest residue class of active lanes, minus one, whatever
-  /// the span's offset or `start`.
-  template <typename T>
-  void ChargeSharedContig() {
-    // Word-aligned elements put every lane's first byte on a word boundary
-    // (SharedMemory aligns each span to alignof(T)).
-    static_assert(sizeof(T) % 4 == 0 && alignof(T) % 4 == 0,
-                  "stride-1 closed form needs word-sized, word-aligned "
-                  "elements; use SharedLoad/SharedStore");
-    CountInstr();
-    stats_->shared_accesses += 1;
-    constexpr int kWords = static_cast<int>(sizeof(T) / 4);
-    constexpr int kPeriod = kWarpSize / std::gcd(kWords, kWarpSize);
-    if constexpr (kPeriod < kWarpSize) {
-      LaneMask every_period = 0;
-      for (int lane = 0; lane < kWarpSize; lane += kPeriod) {
-        every_period |= LaneBit(lane);
-      }
-      int max_mult = 0;
-      for (int r = 0; r < kPeriod; ++r) {
-        max_mult = std::max(max_mult, Popc((active_ >> r) & every_period));
-      }
-      if (max_mult > 1) {
-        stats_->shared_bank_conflicts += static_cast<uint64_t>(max_mult - 1);
-      }
-    }
   }
 
   /// Mask of all 32 lanes with v[lane] == x. The compares fill one byte per

@@ -123,6 +123,31 @@ TEST(GlpEngineTest, MatchesSeqOnAllVariants) {
   }
 }
 
+TEST(GlpEngineTest, ThreadsPerBlockMustBeWholeWarps) {
+  // The warp-mapped kernels give every warp of a block its own vertex or
+  // round: below 32 a block has no whole warp (this used to die on a
+  // division by zero), and at 48 a partial second warp would redo the next
+  // block's first vertex.
+  Graph g = graph::GenerateChungLu(
+      {.num_vertices = 500, .num_edges = 3000, .exponent = 2.2, .seed = 4});
+  RunConfig run;
+  run.max_iterations = 4;
+  const int too_many = sim::DeviceProps::TitanV().max_threads_per_block + 32;
+  for (int threads : {16, 48, 0, -32, too_many}) {
+    GlpOptions opts;
+    opts.threads_per_block = threads;
+    GlpEngine<ClassicVariant> glp({}, opts);
+    EXPECT_TRUE(glp.Run(g, run).status().IsInvalidArgument()) << threads;
+  }
+  GlpOptions opts;
+  opts.threads_per_block = 32;
+  GlpEngine<ClassicVariant> glp({}, opts);
+  cpu::SeqEngine<ClassicVariant> seq;
+  auto r = glp.Run(g, run);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r.value().labels, seq.Run(g, run).value().labels);
+}
+
 TEST(GlpEngineTest, HighDegreeStarCorrect) {
   // Star with 1000 leaves: center is a high-degree vertex; after one
   // iteration the center takes the smallest leaf label and every leaf takes

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "cpu/mfl.h"
+#include "golden_graphs.h"
 #include "graph/builder.h"
 #include "glp/kernels/accounting.h"
 #include "glp/kernels/global_ht.h"
@@ -13,9 +14,13 @@
 #include "glp/kernels/thread_per_vertex.h"
 #include "glp/kernels/warp_per_vertex.h"
 #include "glp/variants/classic.h"
+#include "glp/variants/degree_weighted.h"
 #include "glp/variants/llp.h"
 #include "graph/binning.h"
 #include "graph/generators.h"
+#include "reference_kernels.h"
+#include "util/bits.h"
+#include "util/rng.h"
 
 namespace glp::lp {
 namespace {
@@ -202,6 +207,217 @@ TEST_P(KernelSeedTest, HighDegreeKernelWithLlpAux) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, KernelSeedTest, ::testing::Range(1, 6));
+
+// ---------------------------------------------------------------------------
+// The production kernels against the lane-by-lane references of
+// reference_kernels.h: same KernelStats field for field, same Lnext, same
+// fallback flags, on seeded graphs and labels.
+
+/// Seeded labels: few distinct values (large groups per vertex), some, or
+/// one per vertex.
+std::vector<Label> SeededLabels(VertexId n, uint64_t seed) {
+  Rng rng(seed);
+  const uint64_t ranges[] = {3, 40, n};
+  const uint64_t range = ranges[seed % 3];
+  std::vector<Label> labels(n);
+  for (Label& l : labels) l = static_cast<Label>(rng.Bounded(range));
+  return labels;
+}
+
+/// In-degrees drawn per vertex from `degrees` (rows hold in-neighbors),
+/// neighbors uniform over all vertices, duplicates kept.
+Graph RandomInDegreeGraph(VertexId n, const std::vector<int>& degrees,
+                          uint64_t seed) {
+  Rng rng(seed);
+  graph::GraphBuilder b(n);
+  for (VertexId v = 0; v < n; ++v) {
+    const int deg = degrees[rng.Bounded(degrees.size())];
+    for (int i = 0; i < deg; ++i) {
+      b.AddEdgeUnchecked(static_cast<VertexId>(rng.Bounded(n)), v);
+    }
+  }
+  return b.Build(/*symmetrize=*/false, /*dedupe=*/false);
+}
+
+/// Runs the reference and the production kernel on the same labels and
+/// expects the same stats and the same Lnext (pre-filled with a sentinel).
+template <typename Variant, typename Ref, typename Prod>
+void ExpectSameAsReference(const std::string& what, const Graph& g,
+                           Variant& variant, Ref&& ref, Prod&& prod) {
+  constexpr Label kUnwritten = 0xfeedbeefu;
+  auto view = DeviceView<Variant>::Of(g, variant);
+  std::fill(variant.next_labels().begin(), variant.next_labels().end(),
+            kUnwritten);
+  const sim::KernelStats want = ref(view);
+  const std::vector<Label> want_next = variant.next_labels();
+  std::fill(variant.next_labels().begin(), variant.next_labels().end(),
+            kUnwritten);
+  const sim::KernelStats got = prod(view);
+  EXPECT_EQ(golden::Fields(want), golden::Fields(got)) << what;
+  EXPECT_EQ(want_next, variant.next_labels()) << what;
+}
+
+template <typename Variant>
+void InitWithLabels(Variant& variant, const Graph& g, uint64_t seed) {
+  RunConfig cfg;
+  cfg.initial_labels = SeededLabels(g.num_vertices(), seed);
+  variant.Init(g, cfg);
+}
+
+class KernelReferenceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(KernelReferenceTest, LowDegreeKernelMatchesReference) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  // Isolated vertices, whole-round degree-31 vertices (one padding lane),
+  // and small degrees that share rounds and leave padded tails.
+  const Graph g =
+      RandomInDegreeGraph(700, {0, 1, 1, 2, 3, 5, 8, 13, 20, 31}, seed);
+  const auto bins = graph::ComputeDegreeBins(g);
+  ASSERT_TRUE(bins.mid.empty() && bins.high.empty());
+  const LowDegreePlan plan = BuildLowDegreePlan(g, bins.low);
+  ASSERT_FALSE(plan.isolated.empty());
+  const sim::DeviceProps props = sim::DeviceProps::TitanV();
+  for (int threads : {32, 256}) {
+    const std::string what =
+        "seed=" + std::to_string(seed) + " threads=" + std::to_string(threads);
+    ClassicVariant classic;
+    InitWithLabels(classic, g, seed);
+    ExpectSameAsReference(
+        what + " classic", g, classic,
+        [&](const auto& view) {
+          return ref::LowDegreeWarpKernel(props, nullptr, view, plan, threads);
+        },
+        [&](const auto& view) {
+          return RunLowDegreeWarpKernel(props, nullptr, view, plan, threads);
+        });
+    VariantParams params;
+    params.llp_gamma = 2.0;
+    LlpVariant llp(params);
+    InitWithLabels(llp, g, seed);
+    ExpectSameAsReference(
+        what + " llp", g, llp,
+        [&](const auto& view) {
+          return ref::LowDegreeWarpKernel(props, nullptr, view, plan, threads);
+        },
+        [&](const auto& view) {
+          return RunLowDegreeWarpKernel(props, nullptr, view, plan, threads);
+        });
+  }
+}
+
+TEST_P(KernelReferenceTest, WarpPerVertexKernelMatchesReference) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  const Graph g =
+      RandomInDegreeGraph(500, {0, 1, 7, 31, 32, 33, 64, 100, 128}, seed);
+  std::vector<VertexId> all(g.num_vertices());
+  int64_t maxd = 1;
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    all[v] = v;
+    maxd = std::max(maxd, g.degree(v));
+  }
+  const sim::DeviceProps props = sim::DeviceProps::TitanV();
+  // Sized as the engine sizes it, and the smallest table that holds the
+  // labels (chunks of it fill up).
+  for (int cap : {NextPow2(2 * maxd), 128}) {
+    const std::string what =
+        "seed=" + std::to_string(seed) + " cap=" + std::to_string(cap);
+    auto check = [&](const std::string& name, auto& variant) {
+      InitWithLabels(variant, g, seed);
+      ExpectSameAsReference(
+          what + " " + name, g, variant,
+          [&](const auto& view) {
+            return ref::WarpPerVertexSmemKernel(props, nullptr, view, all,
+                                                cap, 256);
+          },
+          [&](const auto& view) {
+            return RunWarpPerVertexSmemKernel(props, nullptr, view, all, cap,
+                                              256);
+          });
+    };
+    ClassicVariant classic;
+    check("classic", classic);
+    DegreeWeightedVariant weighted;
+    check("degree-weighted", weighted);
+    LlpVariant llp;
+    check("llp", llp);
+  }
+}
+
+TEST_P(KernelReferenceTest, HighDegreeKernelMatchesReference) {
+  const uint64_t seed = static_cast<uint64_t>(GetParam());
+  const Graph g = graph::GenerateBipartite({.num_left = 60,
+                                            .num_right = 40,
+                                            .num_edges = 16000,
+                                            .zipf_skew = 0.7,
+                                            .seed = seed});
+  std::vector<VertexId> all(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) all[v] = v;
+  const sim::DeviceProps props = sim::DeviceProps::TitanV();
+  // The default HT holds every label; the small ones spill to the CMS, and
+  // on the wider label ranges some blocks fall back to the global table.
+  for (int h : {1024, 64, 32}) {
+    GlpOptions opts;
+    opts.ht_capacity = h;
+    opts.cms_width = h == 1024 ? 2048 : 64;
+    const std::string what =
+        "seed=" + std::to_string(seed) + " ht=" + std::to_string(h);
+    auto check = [&](const std::string& name, auto& variant) {
+      InitWithLabels(variant, g, seed);
+      std::vector<uint8_t> want_flags(all.size(), 7), got_flags(all.size(), 7);
+      ExpectSameAsReference(
+          what + " " + name, g, variant,
+          [&](const auto& view) {
+            return ref::HighDegreeBlockKernel(props, nullptr, view, all, opts,
+                                              want_flags.data());
+          },
+          [&](const auto& view) {
+            return RunHighDegreeBlockKernel(props, nullptr, view, all, opts,
+                                            got_flags.data());
+          });
+      EXPECT_EQ(want_flags, got_flags) << what << " " << name;
+    };
+    ClassicVariant classic;
+    check("classic", classic);
+    DegreeWeightedVariant weighted;
+    check("degree-weighted", weighted);
+    LlpVariant llp;
+    check("llp", llp);
+  }
+}
+
+TEST(KernelReferenceTest, HighDegreeFallbackMatchesReference) {
+  // FallbackTriggersWhenMflSpills' hub: its dominant label spills, so the
+  // block takes the exact global-memory path.
+  graph::GraphBuilder b(201);
+  for (VertexId s = 1; s <= 200; ++s) b.AddEdgeUnchecked(s, 0);
+  const Graph g = b.Build(/*symmetrize=*/false, /*dedupe=*/false);
+  RunConfig cfg;
+  cfg.initial_labels.resize(201);
+  for (VertexId v = 0; v <= 200; ++v) {
+    cfg.initial_labels[v] = v <= 64 ? v : 999;
+  }
+  ClassicVariant variant;
+  variant.Init(g, cfg);
+  GlpOptions opts;
+  opts.ht_capacity = 32;
+  opts.cms_width = 256;
+  const sim::DeviceProps props = sim::DeviceProps::TitanV();
+  uint8_t want_flag = 7, got_flag = 7;
+  ExpectSameAsReference(
+      "hub", g, variant,
+      [&](const auto& view) {
+        return ref::HighDegreeBlockKernel(props, nullptr, view, {0}, opts,
+                                          &want_flag);
+      },
+      [&](const auto& view) {
+        return RunHighDegreeBlockKernel(props, nullptr, view, {0}, opts,
+                                        &got_flag);
+      });
+  EXPECT_EQ(want_flag, 1u);
+  EXPECT_EQ(got_flag, 1u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelReferenceTest, ::testing::Range(1, 7));
 
 TEST(KernelAccountingTest, MapKernelStatsShape) {
   const auto s = MapKernelStats(1024, 4096, 4096);

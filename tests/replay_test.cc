@@ -179,10 +179,64 @@ TEST(BlockReplayTest, ConvergingGraphReplaysBlocks) {
   EXPECT_GT(engine.last_replayed_blocks(), 0u);
   EXPECT_EQ(res.host_blocks_replayed, engine.last_replayed_blocks());
   EXPECT_GT(res.host_blocks_executed, 0u);
-  // The device still runs every block: the LP kernels' counted blocks (the
-  // map kernels count none) are the host-executed plus the replayed ones.
+  // The host replays warps of the low and mid kernels and blocks of the
+  // high kernel; every pass simulates or replays each of them: one per
+  // packed low-degree round, mid-bin vertex and high-bin vertex.
+  const graph::DegreeBins bins = graph::ComputeDegreeBins(g);
+  const uint64_t per_pass = BuildLowDegreePlan(g, bins.low).num_rounds +
+                            bins.mid.size() + bins.high.size();
   EXPECT_EQ(res.host_blocks_executed + res.host_blocks_replayed,
-            res.stats.blocks_executed);
+            static_cast<uint64_t>(res.iterations) * per_pass);
+}
+
+/// Disjoint pairs, a star whose center is in the mid bin and one whose
+/// center is in the high bin; every other vertex has degree 1.
+Graph PairsAndStarsGraph() {
+  graph::GraphBuilder b(282);
+  for (graph::VertexId p = 0; p < 20; ++p) {
+    b.AddEdgeUnchecked(2 * p, 2 * p + 1);
+  }
+  for (graph::VertexId leaf = 41; leaf <= 80; ++leaf) {
+    b.AddEdgeUnchecked(40, leaf);
+  }
+  for (graph::VertexId leaf = 82; leaf <= 281; ++leaf) {
+    b.AddEdgeUnchecked(81, leaf);
+  }
+  return b.Build();
+}
+
+TEST(BlockReplayTest, HostWorkItemsPinnedOnSmallGraph) {
+  // Labels start as vertex ids. Pairs swap every iteration (period 2). A
+  // star's center first takes its smallest leaf's label and its leaves the
+  // center's; from iteration 1 on the labels repeat with period 2 too. So
+  // against t-2 only iteration 2 sees a change: the leaves left their own
+  // ids, which touches the two centers. Everything runs in iterations 0
+  // and 1 (no t-2 yet), the two centers also in iteration 2.
+  const Graph g = PairsAndStarsGraph();
+  const graph::DegreeBins bins = graph::ComputeDegreeBins(g);
+  ASSERT_EQ(bins.low.size(), 280u);
+  ASSERT_EQ(bins.mid, std::vector<graph::VertexId>{40});
+  ASSERT_EQ(bins.high, std::vector<graph::VertexId>{81});
+  RunConfig run;
+  run.max_iterations = 8;
+  // GLP packs the 280 degree-1 vertices into 9 rounds (9 low warps);
+  // GLP-smem runs one warp per low-bin vertex.
+  struct Case {
+    GlpOptions::Mode mode;
+    uint64_t executed, replayed;
+  };
+  for (const Case& c : {Case{GlpOptions::Mode::kSmemWarp, 2 * 9 + 3 + 3,
+                             6 * 9 + 5 + 5},
+                        Case{GlpOptions::Mode::kSmem, 2 * 280 + 3 + 3,
+                             6 * 280 + 5 + 5}}) {
+    GlpOptions opts;
+    opts.mode = c.mode;
+    GlpEngine<ClassicVariant> engine({}, opts);
+    auto r = engine.Run(g, run);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r.value().host_blocks_executed, c.executed) << engine.name();
+    EXPECT_EQ(r.value().host_blocks_replayed, c.replayed) << engine.name();
+  }
 }
 
 TEST(BlockReplayTest, SlpMatchesSeqWhileReplaying) {

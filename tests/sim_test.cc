@@ -684,6 +684,22 @@ void CheckGlobalCharges(Rng& rng, int trials) {
           << "GatherContig " << what;
     }
     {
+      // The charge-only calls against the functional ones.
+      KernelStats gather, scatter, charged, contig, charged_contig;
+      const int64_t start = idx[0] % (kLen - kWarpSize);
+      Warp(0, mask, &gather).Gather(data.data(), idx);
+      Warp(0, mask, &scatter).Scatter(data.data(), idx, LaneArray<T>(T{1}));
+      Warp(0, mask, &charged).ChargeGather<T>(idx);
+      Warp(0, mask, &contig).GatherContig(data.data(), start);
+      Warp(0, mask, &charged_contig).ChargeGatherContig<T>(start);
+      EXPECT_EQ(StatFields(charged), StatFields(gather))
+          << "ChargeGather " << what;
+      EXPECT_EQ(StatFields(charged), StatFields(scatter))
+          << "ChargeGather vs Scatter " << what;
+      EXPECT_EQ(StatFields(charged_contig), StatFields(contig))
+          << "ChargeGatherContig " << what;
+    }
+    {
       KernelStats got;
       Warp w(0, mask, &got);
       w.AtomicAddGlobal(data.data(), idx, LaneArray<T>(T{0}));
@@ -754,6 +770,10 @@ void CheckSharedCharges(Rng& rng, int trials) {
       KernelStats twice = want_contig;
       twice += want_contig;
       EXPECT_EQ(StatFields(got), StatFields(twice)) << "Shared*Contig " << what;
+      KernelStats charged;
+      Warp(0, mask, &charged).ChargeSharedContig<T>();
+      EXPECT_EQ(StatFields(charged), StatFields(want_contig))
+          << "ChargeSharedContig " << what;
     }
   }
 }
@@ -791,7 +811,56 @@ TEST(ChargePropertyTest, MatchAnySyncMatchesPairwiseReference) {
     RefInstr(active, &want);
     want.intrinsic_ops = 2;
     EXPECT_EQ(StatFields(got), StatFields(want)) << "trial " << t;
+    KernelStats charged;
+    Warp c(0, active, &charged);
+    c.ChargeIntrinsic();
+    c.ChargeIntrinsic();
+    EXPECT_EQ(StatFields(charged), StatFields(want)) << "trial " << t;
   }
+}
+
+TEST(LaunchTest, PerWarpMemoRunsDirtyWarpsAndReplaysClean) {
+  ThreadPool pool(4);
+  std::vector<uint32_t> data(32 * 10);
+  constexpr int kBlocks = 5, kWarps = 4;
+  std::vector<std::atomic<int>> warp_hits(kBlocks * kWarps);
+  std::vector<std::atomic<int>> block_hits(kBlocks);
+  LaunchConfig cfg{kBlocks, kWarps * kWarpSize};
+  // Warp e = b * kWarps + w issues e + 1 gathers, so each entry is
+  // distinct; every block also syncs once outside its warps.
+  auto kernel = [&](Block& blk) {
+    block_hits[blk.block_idx()].fetch_add(1);
+    blk.Sync();
+    blk.ForEachWarp([&](Warp& w) {
+      const int64_t e = blk.block_idx() * kWarps + w.warp_id();
+      warp_hits[e].fetch_add(1);
+      for (int64_t i = 0; i <= e; ++i) {
+        w.GatherContig(data.data(), (e % 10) * 32);
+      }
+    });
+  };
+  const KernelStats plain = Launch(DeviceProps::TitanV(), cfg, &pool, kernel);
+  BlockMemo memo;
+  memo.per_warp = true;
+  memo.dirty.assign(kBlocks * kWarps, 1);
+  const KernelStats first =
+      Launch(DeviceProps::TitanV(), cfg, &pool, kernel, &memo);
+  // Clean: one warp of block 1, and every warp of block 3.
+  const std::vector<int> clean = {5, 12, 13, 14, 15};
+  for (int e : clean) memo.dirty[e] = 0;
+  const KernelStats second =
+      Launch(DeviceProps::TitanV(), cfg, &pool, kernel, &memo);
+  for (int e = 0; e < kBlocks * kWarps; ++e) {
+    const bool replayed =
+        std::find(clean.begin(), clean.end(), e) != clean.end();
+    EXPECT_EQ(warp_hits[e].load(), replayed ? 2 : 3) << e;
+  }
+  // Block-level code runs in every launch, all-clean blocks included.
+  for (int b = 0; b < kBlocks; ++b) EXPECT_EQ(block_hits[b].load(), 3) << b;
+  for (const KernelStats& s : {first, second}) {
+    EXPECT_EQ(StatFields(s), StatFields(plain));
+  }
+  EXPECT_EQ(plain.block_syncs, static_cast<uint64_t>(kBlocks));
 }
 
 }  // namespace

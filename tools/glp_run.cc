@@ -253,7 +253,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(r.device_bytes >> 20));
   }
   if (r.host_blocks_replayed > 0) {
-    std::printf("host: %llu LP blocks simulated, %llu replayed (%.1f%%)\n",
+    std::printf("host: %llu LP warps/blocks simulated, %llu replayed "
+                "(%.1f%%; low/mid warps, high blocks)\n",
                 static_cast<unsigned long long>(r.host_blocks_executed),
                 static_cast<unsigned long long>(r.host_blocks_replayed),
                 100.0 * static_cast<double>(r.host_blocks_replayed) /
