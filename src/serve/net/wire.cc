@@ -1,5 +1,6 @@
 #include "serve/net/wire.h"
 
+#include <cctype>
 #include <cstdlib>
 #include <cstring>
 
@@ -137,12 +138,17 @@ bool ParseNdjsonLine(std::string_view line, graph::TimedEdge* edge) {
       ++i;
     }
     const std::string tok(line.substr(tok_start, i - tok_start));
-    if (tok.empty()) return false;
+    // strtoull/strtod skip leading whitespace (\v, \f) and stop at an
+    // embedded NUL: the number must span the token from its first byte to
+    // its last.
+    if (tok.empty() || std::isspace(static_cast<unsigned char>(tok[0]))) {
+      return false;
+    }
+    const char* const tok_end = tok.c_str() + tok.size();
     char* end = nullptr;
     if (key == "src" || key == "dst") {
       const unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-      if (end == nullptr || *end != '\0' || tok[0] == '-' ||
-          v > 0xffffffffull) {
+      if (end != tok_end || tok[0] == '-' || v > 0xffffffffull) {
         return false;
       }
       if (key == "src") {
@@ -157,7 +163,7 @@ bool ParseNdjsonLine(std::string_view line, graph::TimedEdge* edge) {
     } else if (key == "time") {
       if (have_time) return false;
       edge->time = std::strtod(tok.c_str(), &end);
-      if (end == nullptr || *end != '\0') return false;
+      if (end != tok_end) return false;
       have_time = true;
     } else {
       return false;
