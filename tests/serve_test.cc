@@ -653,7 +653,7 @@ TEST(ServeTest, MakeServerRejectsNonPositiveShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Golden 1-shard digest
+// Golden tick-stream digests
 // ---------------------------------------------------------------------------
 
 uint64_t Fnv(uint64_t h, uint64_t v) {
@@ -727,93 +727,134 @@ void FeedAndDrain(Server* server, const std::vector<TimedEdge>& ordered,
   server->Flush();
 }
 
+/// The stream and base configuration both golden digests replay: the
+/// small TaoBao-like stream on the simulated GPU engine (deterministic
+/// device seconds), 15-day window, 3-day ticks.
+struct GoldenSetup {
+  pipeline::TransactionStream stream =
+      pipeline::GenerateTransactions(SmallStreamConfig());
+  std::vector<TimedEdge> ordered;
+  ServerConfig cold, warm, inc;
+
+  GoldenSetup() {
+    ordered = stream.edges;
+    std::sort(ordered.begin(), ordered.end(), graph::CanonicalEdgeLess);
+    ServerConfig base;
+    base.detect.window_days = 15;
+    base.detect.engine = lp::EngineKind::kGlp;
+    base.detect.lp.stop_when_stable = true;
+    base.detect.lp.max_iterations = 20;
+    base.seeds = stream.seeds;
+    base.ground_truth = &stream;
+    base.tick.every_days = 3.0;
+    cold = base;
+    cold.tick.warm_start = false;
+    warm = base;
+    warm.tick.warm_start = true;
+    warm.tick.cold_refresh_every_ticks = 4;
+    inc = base;
+    inc.tick.warm_start = false;
+    inc.tick.incremental = true;
+  }
+};
+
+/// Digest of one uninterrupted replay on `shards` shards.
+uint64_t DigestRun(const ServerConfig& cfg, int shards,
+                   const std::vector<TimedEdge>& ordered) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  int64_t ticks = 0;
+  double device_seconds = 0;
+  auto server = MakeServer(cfg, shards);
+  server->Subscribe([&](const TickResult& t) {
+    h = TickDigest(h, t);
+    ++ticks;
+    device_seconds += t.detection.lp.simulated_seconds;
+  });
+  EXPECT_TRUE(server->Start().ok());
+  FeedAndDrain(server.get(), ordered, 0, ordered.size());
+  server->Stop();
+  EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+  EXPECT_GE(ticks, 10);
+  EXPECT_GT(device_seconds, 0);
+  return h;
+}
+
+/// Checkpoint/restore on `shards` shards: run A stops mid-stream after an
+/// on-demand snapshot; run B restores it and replays the rest. Both halves
+/// feed one digest.
+uint64_t DigestRestoredRun(const ServerConfig& cfg, int shards,
+                           const std::vector<TimedEdge>& ordered) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("glp_serve_golden_" + std::to_string(::getpid()) + "_" +
+        std::to_string(shards)))
+          .string();
+  std::filesystem::remove_all(dir);
+  ServerConfig ck = cfg;
+  ck.checkpoint.dir = dir;
+  ck.checkpoint.every_ticks = 0;
+  uint64_t h = 0xcbf29ce484222325ull;
+  auto digest = [&](const TickResult& t) { h = TickDigest(h, t); };
+  {
+    auto a = MakeServer(ck, shards);
+    a->Subscribe(digest);
+    EXPECT_TRUE(a->Start().ok());
+    FeedAndDrain(a.get(), ordered, 0, ordered.size() / 2);
+    EXPECT_TRUE(a->WriteCheckpoint().ok());
+    a->Stop();
+  }
+  auto b = MakeServer(ck, shards);
+  b->Subscribe(digest);
+  auto info = b->RestoreFromCheckpoint(dir);
+  EXPECT_TRUE(info.ok()) << info.status().ToString();
+  if (!info.ok()) return h;
+  EXPECT_TRUE(b->Start().ok());
+  FeedAndDrain(b.get(), ordered, static_cast<size_t>(info.value().num_edges),
+               ordered.size());
+  b->Stop();
+  EXPECT_TRUE(b->last_error().ok()) << b->last_error().ToString();
+  std::filesystem::remove_all(dir);
+  return h;
+}
+
 // Pins the exact 1-shard tick stream — every field the digest covers —
 // across cold, warm+refresh, incremental and a mid-stream
-// checkpoint/restore replay on the simulated GPU engine (deterministic
-// device seconds). A refactor of the serving layer must reproduce it bit
-// for bit; on failure the per-run digests localize the divergence.
+// checkpoint/restore replay. A refactor of the serving layer must
+// reproduce it bit for bit; on failure the per-run digests localize the
+// divergence.
 TEST(ServeGoldenTest, SingleShardTickStreamDigest) {
-  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
-  std::vector<TimedEdge> ordered = stream.edges;
-  std::sort(ordered.begin(), ordered.end(), graph::CanonicalEdgeLess);
-
-  ServerConfig base;
-  base.detect.window_days = 15;
-  base.detect.engine = lp::EngineKind::kGlp;
-  base.detect.lp.stop_when_stable = true;
-  base.detect.lp.max_iterations = 20;
-  base.seeds = stream.seeds;
-  base.ground_truth = &stream;
-  base.tick.every_days = 3.0;
-
-  ServerConfig cold = base;
-  cold.tick.warm_start = false;
-  ServerConfig warm = base;
-  warm.tick.warm_start = true;
-  warm.tick.cold_refresh_every_ticks = 4;
-  ServerConfig inc = base;
-  inc.tick.warm_start = false;
-  inc.tick.incremental = true;
-
-  auto run = [&](const ServerConfig& cfg) {
-    uint64_t h = 0xcbf29ce484222325ull;
-    int64_t ticks = 0;
-    double device_seconds = 0;
-    auto server = MakeServer(cfg, 1);
-    server->Subscribe([&](const TickResult& t) {
-      h = TickDigest(h, t);
-      ++ticks;
-      device_seconds += t.detection.lp.simulated_seconds;
-    });
-    EXPECT_TRUE(server->Start().ok());
-    FeedAndDrain(server.get(), ordered, 0, ordered.size());
-    server->Stop();
-    EXPECT_TRUE(server->last_error().ok()) << server->last_error().ToString();
-    EXPECT_GE(ticks, 10);
-    EXPECT_GT(device_seconds, 0);
-    return h;
-  };
-
-  // Checkpoint/restore: run A stops mid-stream after an on-demand snapshot;
-  // run B restores it and replays the rest. Both halves feed one digest.
-  auto restored_run = [&](const ServerConfig& cfg) {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("glp_serve_golden_" + std::to_string(::getpid())))
-            .string();
-    std::filesystem::remove_all(dir);
-    ServerConfig ck = cfg;
-    ck.checkpoint.dir = dir;
-    ck.checkpoint.every_ticks = 0;
-    uint64_t h = 0xcbf29ce484222325ull;
-    auto digest = [&](const TickResult& t) { h = TickDigest(h, t); };
-    {
-      auto a = MakeServer(ck, 1);
-      a->Subscribe(digest);
-      EXPECT_TRUE(a->Start().ok());
-      FeedAndDrain(a.get(), ordered, 0, ordered.size() / 2);
-      EXPECT_TRUE(a->WriteCheckpoint().ok());
-      a->Stop();
-    }
-    auto b = MakeServer(ck, 1);
-    b->Subscribe(digest);
-    auto info = b->RestoreFromCheckpoint(dir);
-    EXPECT_TRUE(info.ok()) << info.status().ToString();
-    if (!info.ok()) return h;
-    EXPECT_TRUE(b->Start().ok());
-    FeedAndDrain(b.get(), ordered, static_cast<size_t>(info.value().num_edges),
-                 ordered.size());
-    b->Stop();
-    EXPECT_TRUE(b->last_error().ok()) << b->last_error().ToString();
-    std::filesystem::remove_all(dir);
-    return h;
-  };
-
-  const uint64_t got[] = {run(cold), run(warm), run(inc), restored_run(warm)};
+  const GoldenSetup g;
+  const uint64_t got[] = {DigestRun(g.cold, 1, g.ordered),
+                          DigestRun(g.warm, 1, g.ordered),
+                          DigestRun(g.inc, 1, g.ordered),
+                          DigestRestoredRun(g.warm, 1, g.ordered)};
   const uint64_t want[] = {0x9210015878ed08bcull, 0x166c92396add9470ull,
                            0x3ccdb8f3c7004ed0ull, 0x166c92396add9470ull};
   const char* names[] = {"cold", "warm+refresh", "incremental", "restored"};
   for (int i = 0; i < 4; ++i) {
+    EXPECT_EQ(got[i], want[i]) << names[i] << " digest 0x" << std::hex
+                               << got[i];
+  }
+}
+
+// The same pin on a 4-shard fleet, where connectivity decides each
+// component's owner shard — and through it the bucketed edge order, the
+// owner-local warm anchors and the stitched aggregate. The restored runs
+// cover a fleet whose range cursors restart unprimed (warm) and one that
+// re-seats them from the checkpointed anchors (incremental).
+TEST(ServeGoldenTest, FourShardTickStreamDigest) {
+  const GoldenSetup g;
+  const uint64_t got[] = {DigestRun(g.cold, 4, g.ordered),
+                          DigestRun(g.warm, 4, g.ordered),
+                          DigestRun(g.inc, 4, g.ordered),
+                          DigestRestoredRun(g.warm, 4, g.ordered),
+                          DigestRestoredRun(g.inc, 4, g.ordered)};
+  const uint64_t want[] = {0x4cbadb4e3de3dfbfull, 0xce4414d11545076cull,
+                           0x7fd798a6e040b1e3ull, 0xce4414d11545076cull,
+                           0x7fd798a6e040b1e3ull};
+  const char* names[] = {"cold", "warm+refresh", "incremental",
+                         "restored warm", "restored incremental"};
+  for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(got[i], want[i]) << names[i] << " digest 0x" << std::hex
                                << got[i];
   }
