@@ -177,26 +177,4 @@ class ScopedPhase {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// RAII host wall-clock span emitted onto the trace's host track (pipeline
-/// stage boundaries). No-op when the profiler is null.
-class ScopedHostEvent {
- public:
-  ScopedHostEvent(PhaseProfiler* prof, std::string name)
-      : prof_(prof), name_(std::move(name)) {
-    if (prof_ != nullptr) start_ = prof_->HostNow();
-  }
-  ~ScopedHostEvent() {
-    if (prof_ != nullptr) {
-      prof_->RecordHostEvent(name_, start_, prof_->HostNow() - start_);
-    }
-  }
-  ScopedHostEvent(const ScopedHostEvent&) = delete;
-  ScopedHostEvent& operator=(const ScopedHostEvent&) = delete;
-
- private:
-  PhaseProfiler* prof_;
-  std::string name_;
-  double start_ = 0;
-};
-
 }  // namespace glp::prof

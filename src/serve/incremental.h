@@ -97,6 +97,12 @@ class IncrementalTracker {
 
   graph::VertexId Root(graph::VertexId entity) { return Find(entity); }
 
+  /// True at the root of an in-window component: counting roots counts
+  /// components.
+  bool IsRoot(graph::VertexId entity) const {
+    return InWindow(entity) && parent_[entity] == entity;
+  }
+
   /// Canonical dirty-component roots left by the last operation.
   const std::vector<graph::VertexId>& dirty_roots() const {
     return dirty_roots_;

@@ -103,7 +103,7 @@ std::string EncodeNdjsonBatch(const std::vector<graph::TimedEdge>& batch) {
 namespace {
 
 // Parses one {"src":N,"dst":N,"time":F} line (keys in any order, each
-// exactly once). Returns false on any deviation.
+// exactly once, separated by commas). Returns false on any deviation.
 bool ParseNdjsonLine(std::string_view line, graph::TimedEdge* edge) {
   size_t i = 0;
   const auto skip_ws = [&] {
@@ -118,10 +118,6 @@ bool ParseNdjsonLine(std::string_view line, graph::TimedEdge* edge) {
   bool have_src = false, have_dst = false, have_time = false;
   for (;;) {
     skip_ws();
-    if (i < line.size() && line[i] == '}') {
-      ++i;
-      break;
-    }
     if (i >= line.size() || line[i] != '"') return false;
     const size_t key_end = line.find('"', i + 1);
     if (key_end == std::string_view::npos) return false;
@@ -168,8 +164,15 @@ bool ParseNdjsonLine(std::string_view line, graph::TimedEdge* edge) {
     } else {
       return false;
     }
+    // After each value: a comma and another key, or the closing brace.
     skip_ws();
-    if (i < line.size() && line[i] == ',') ++i;
+    if (i >= line.size()) return false;
+    if (line[i] == '}') {
+      ++i;
+      break;
+    }
+    if (line[i] != ',') return false;
+    ++i;
   }
   skip_ws();
   return i == line.size() && have_src && have_dst && have_time;

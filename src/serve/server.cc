@@ -40,15 +40,6 @@ bool IsTransient(const Status& s) {
   }
 }
 
-/// Path-halving find over a parent array.
-VertexId Find(std::vector<VertexId>* uf, VertexId x) {
-  while ((*uf)[x] != x) {
-    (*uf)[x] = (*uf)[(*uf)[x]];
-    x = (*uf)[x];
-  }
-  return x;
-}
-
 }  // namespace
 
 std::string ServerStats::ToJson() const {
@@ -98,16 +89,6 @@ void Server::EntityMap::Bump() {
     std::fill(epoch_of.begin(), epoch_of.end(), 0u);
     epoch = 1;
   }
-}
-
-VertexId Server::EntityMap::Intern(VertexId g,
-                                   std::vector<VertexId>* entities) {
-  if (epoch_of[g] != epoch) {
-    epoch_of[g] = epoch;
-    value_of[g] = static_cast<VertexId>(entities->size());
-    entities->push_back(g);
-  }
-  return value_of[g];
 }
 
 Server::Server(ServerConfig config, int num_shards)
@@ -208,13 +189,15 @@ Server::Server(ServerConfig config, int num_shards)
       {{"result", "error"}});
   ins_.dirty_components = registry_->GetGauge(
       "glp_serve_dirty_components",
-      "Components whose edge set changed in the last incremental tick");
+      "Components of the fleet union-find whose edge set changed at the "
+      "last tick");
   ins_.reused_clusters = registry_->GetCounter(
       "glp_serve_reused_clusters_total",
       "Clean-component cluster records reused verbatim by incremental ticks");
   ins_.incremental_rebuilds = registry_->GetCounter(
       "glp_serve_incremental_rebuilds_total",
-      "Incremental-mode ticks that fell back to a full rebuild");
+      "Ticks that rebuilt the fleet union-find from the windows instead of "
+      "advancing it by their deltas");
   ins_.wal_appends_ok = registry_->GetCounter(
       "glp_serve_wal_appends_total", "WAL append attempts",
       {{"result", "ok"}});
@@ -298,8 +281,8 @@ void Server::EnsureShardInstruments(int n) {
           {{"shard", shard}});
       shard_ins_[k].components_owned = registry_->GetGauge(
           "glp_serve_shard_components",
-          "Connected components this shard owned at the last tick (N > 1 "
-          "shards or incremental mode)",
+          "Connected components this shard owned at the last tick (fleet "
+          "union-find: N > 1 shards or incremental mode)",
           {{"shard", shard}});
       shard_ins_[k].inwindow_edges = registry_->GetGauge(
           "glp_serve_shard_inwindow_edges",
@@ -1376,77 +1359,6 @@ void Server::MaybeAutoReshard() {
   }
 }
 
-void Server::ShardComponents(int k, double start_time,
-                                          double end_time) {
-  ShardScratch& s = shards_[k];
-  s.entities.clear();
-  s.uf.clear();
-  const graph::SlidingWindow& w = windows_[k];
-  if (w.num_stream_edges() == 0) {
-    s.lo = s.hi = 0;
-    return;
-  }
-  s.lo = w.LowerBound(start_time);
-  s.hi = w.LowerBound(end_time);
-  s.intern.EnsureUniverse(universe_);
-  s.intern.Bump();
-  const std::vector<TimedEdge>& edges = w.edges();
-  auto add = [&](VertexId g) {
-    const VertexId l = s.intern.Intern(g, &s.entities);
-    if (static_cast<size_t>(l) == s.uf.size()) s.uf.push_back(l);
-    return l;
-  };
-  for (size_t i = s.lo; i < s.hi; ++i) {
-    const VertexId a = add(edges[i].src);
-    const VertexId b = add(edges[i].dst);
-    const VertexId ra = Find(&s.uf, a);
-    const VertexId rb = Find(&s.uf, b);
-    if (ra != rb) s.uf[rb] = ra;
-  }
-}
-
-void Server::StitchComponents() {
-  // Mirroring guarantees every cross-shard edge appears in both endpoint
-  // shards, so unioning each active entity with its shard-local component
-  // root — over all shards — yields exactly the global components: any
-  // global path is a chain of intra-shard hops stitched at shared entities.
-  stitch_intern_.EnsureUniverse(universe_);
-  stitch_intern_.Bump();
-  stitch_entities_.clear();
-  stitch_uf_.clear();
-  auto add = [&](VertexId g) {
-    const VertexId l = stitch_intern_.Intern(g, &stitch_entities_);
-    if (static_cast<size_t>(l) == stitch_uf_.size()) stitch_uf_.push_back(l);
-    return l;
-  };
-  for (ShardScratch& s : shards_) {
-    for (size_t i = 0; i < s.entities.size(); ++i) {
-      const VertexId root_entity =
-          s.entities[Find(&s.uf, static_cast<VertexId>(i))];
-      const VertexId a = add(s.entities[i]);
-      const VertexId b = add(root_entity);
-      const VertexId ra = Find(&stitch_uf_, a);
-      const VertexId rb = Find(&stitch_uf_, b);
-      if (ra != rb) stitch_uf_[rb] = ra;
-    }
-  }
-  // Deterministic owner: the shard of the component's smallest entity id —
-  // stable under any shard/batch interleaving of the same window.
-  comp_min_entity_.assign(stitch_entities_.size(), graph::kInvalidVertex);
-  for (size_t l = 0; l < stitch_entities_.size(); ++l) {
-    const VertexId r = Find(&stitch_uf_, static_cast<VertexId>(l));
-    comp_min_entity_[r] = std::min(comp_min_entity_[r], stitch_entities_[l]);
-  }
-  for (OwnerWork& ow : owners_) ow.num_components = 0;
-  if (owner_of_.size() < universe_) owner_of_.resize(universe_);
-  for (size_t l = 0; l < stitch_entities_.size(); ++l) {
-    const VertexId r = Find(&stitch_uf_, static_cast<VertexId>(l));
-    const int owner = pmap_->PartOf(comp_min_entity_[r]);
-    owner_of_[stitch_entities_[l]] = static_cast<uint8_t>(owner);
-    if (static_cast<VertexId>(l) == r) ++owners_[owner].num_components;
-  }
-}
-
 void Server::BucketShardEdges(int k) {
   ShardScratch& s = shards_[k];
   for (auto& bucket : s.owner_buckets) bucket.clear();
@@ -1481,26 +1393,19 @@ void Server::RebuildIncrementalClean() {
 
 void Server::RefreshOwnersFromTracker() {
   // Full recompute (rebuild/restore paths only — O(universe)): owner =
-  // pmap_->PartOf(component min entity), the same rule StitchComponents
-  // applies, so cold and incremental replays bucket identically. The
-  // ascending entity scan means a root's first-seen member IS its minimum.
+  // pmap_->PartOf(component min entity) — deterministic, and stable under
+  // any shard/batch interleaving of the same window. The ascending entity
+  // scan means a root's first-seen member IS its minimum.
   if (owner_of_.size() < universe_) owner_of_.resize(universe_);
   comp_min_scratch_.assign(universe_, graph::kInvalidVertex);
-  std::vector<int64_t> counts(static_cast<size_t>(num_shards()), 0);
   for (size_t e = 0; e < universe_; ++e) {
     if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
     const VertexId r = inc_tracker_.Root(static_cast<VertexId>(e));
     if (comp_min_scratch_[r] == graph::kInvalidVertex) {
       comp_min_scratch_[r] = static_cast<VertexId>(e);
-      ++counts[pmap_->PartOf(static_cast<VertexId>(e))];
     }
-  }
-  for (size_t e = 0; e < universe_; ++e) {
-    if (!inc_tracker_.InWindow(static_cast<VertexId>(e))) continue;
-    const VertexId r = inc_tracker_.Root(static_cast<VertexId>(e));
     owner_of_[e] = static_cast<uint8_t>(pmap_->PartOf(comp_min_scratch_[r]));
   }
-  for (int o = 0; o < num_shards_; ++o) owners_[o].num_components = counts[o];
 }
 
 bool Server::UpdateIncrementalTracker(double start_time,
@@ -1536,8 +1441,7 @@ bool Server::UpdateIncrementalTracker(double start_time,
     inc_tracker_.FinishTick();
     applied = true;
     // Re-own dirty components only; a clean component's min member — the
-    // entity that fixed its owner — is unchanged by definition. (The
-    // components_owned gauges refresh on rebuild ticks.)
+    // entity that fixed its owner — is unchanged by definition.
     if (owner_of_.size() < universe_) owner_of_.resize(universe_);
     for (const VertexId r : inc_tracker_.dirty_roots()) {
       const std::vector<VertexId>& mem = inc_tracker_.MembersOf(r);
@@ -1558,6 +1462,15 @@ bool Server::UpdateIncrementalTracker(double start_time,
   }
   ins_.dirty_components->Set(
       static_cast<double>(inc_tracker_.NumDirtyComponents()));
+  // Components per owner, recounted every tick: each in-window root counts
+  // once, for the shard that owns it.
+  std::vector<int64_t> owned(static_cast<size_t>(num_shards_), 0);
+  for (size_t e = 0; e < universe_; ++e) {
+    if (inc_tracker_.IsRoot(static_cast<VertexId>(e))) ++owned[owner_of_[e]];
+  }
+  for (int o = 0; o < num_shards_; ++o) {
+    shard_ins_[o].components_owned->Set(static_cast<double>(owned[o]));
+  }
   return applied;
 }
 
@@ -1788,8 +1701,6 @@ void Server::RunOwnerDetection(int o, double window_start, double window_end,
 Server::TickOutcome Server::RunTick(double end_time) {
   glp::Timer tick_timer;
   const double tick_start_mono = obs::MonotonicSeconds();
-  const double host_start =
-      config_.profiler != nullptr ? config_.profiler->HostNow() : 0;
   const int n = num_shards();
   const bool single = n == 1;
 
@@ -1842,27 +1753,23 @@ Server::TickOutcome Server::RunTick(double end_time) {
 
   glp::Timer build_timer;
   universe_ = Universe();
-  // Incremental mode replaces the per-shard union-finds AND the boundary
-  // stitch with one persistent fleet-wide tracker; it must be updated even
-  // when the windows went empty (connectivity is a function of the window
-  // alone — skipping the tick that expired the last edges would leave the
-  // tracker permanently stale).
+  // Connectivity: one persistent fleet-wide union-find, advanced by the
+  // shard windows' deltas, decides every component's owner on N > 1 shards
+  // and the dirty set in incremental mode. It must be updated even when the
+  // windows went empty (connectivity is a function of the window alone —
+  // skipping the tick that expired the last edges would leave the tracker
+  // permanently stale). A cold or warm one-shard fleet has a single owner
+  // and needs no components: it only looks up its window range.
   bool delta_applied = false;
-  if (config_.tick.incremental) {
+  if (!single || config_.tick.incremental) {
     obs::ScopedSpan uf_span(collect ? &span_sink_ : nullptr, root_ctx,
                             "serve.union_find");
     delta_applied = UpdateIncrementalTracker(tr.window_start, end_time);
     uf_span.AddLabel("mode", delta_applied ? "delta" : "rebuild");
-  } else if (single) {
+  } else {
     const graph::SlidingWindow& w = windows_[0];
     shards_[0].lo = w.LowerBound(tr.window_start);
     shards_[0].hi = w.LowerBound(end_time);
-  } else {
-    obs::ScopedSpan comp_span(collect ? &span_sink_ : nullptr, root_ctx,
-                              "serve.components");
-    ForEachShard(n, [&](int k) {
-      ShardComponents(k, tr.window_start, end_time);
-    });
   }
   bool any_active = false;
   for (const ShardScratch& s : shards_) any_active |= s.hi > s.lo;
@@ -1873,11 +1780,6 @@ Server::TickOutcome Server::RunTick(double end_time) {
 
   if (any_active) {
     if (!single) {
-      if (!config_.tick.incremental) {
-        obs::ScopedSpan stitch_span(collect ? &span_sink_ : nullptr,
-                                    root_ctx, "serve.stitch");
-        StitchComponents();
-      }
       obs::ScopedSpan bucket_span(collect ? &span_sink_ : nullptr, root_ctx,
                                   "serve.bucket_edges");
       ForEachShard(n, [&](int k) { BucketShardEdges(k); });
@@ -1972,8 +1874,6 @@ Server::TickOutcome Server::RunTick(double end_time) {
     }
     for (int o = 0; o < n; ++o) {
       const OwnerWork& ow = owners_[o];
-      shard_ins_[o].components_owned->Set(
-          static_cast<double>(ow.num_components));
       shard_ins_[o].window_edges->Set(
           static_cast<double>(windows_[o].num_stream_edges()));
       shard_ins_[o].inwindow_edges->Set(
@@ -2125,10 +2025,6 @@ Server::TickOutcome Server::RunTick(double end_time) {
     ins_.cold_ticks->Increment();
     ins_.cold_iterations->Increment(
         static_cast<uint64_t>(tr.detection.lp.iterations));
-  }
-  if (config_.profiler != nullptr) {
-    config_.profiler->RecordHostEvent(tr.warm ? "tick-warm" : "tick-cold",
-                                      host_start, tr.tick_wall_seconds);
   }
   ++num_ticks_;
   {

@@ -16,9 +16,9 @@
 //   Ingest(batch) --route by PartitionOf--> bounded queue of routed batches
 //                                             detection thread
 //                                               per-shard Append
-//                                               N > 1: per-shard union-find,
-//                                                 boundary stitch (global
-//                                                 UF), component -> owner
+//                                               N > 1: fleet union-find
+//                                                 advanced by window deltas,
+//                                                 component -> owner
 //                                               per-owner detection
 //                                               confirmed-cluster diff
 //                                                 -> subscribers
@@ -29,18 +29,20 @@
 // *is* exactly decomposable is connectivity: labels never cross connected
 // components, and per-component LP is order-isomorphic to the global run
 // (local ids preserve canonical first-appearance order, so every MFL
-// tie-break resolves identically). The per-shard union-finds + the
-// boundary-entity stitch compute global components cheaply in parallel;
-// whole components are then assigned to owner shards
-// (PartitionOf(min-entity)) and detected in parallel. This is what makes
-// the N-shard replay produce exactly the 1-shard confirmed clusters (up to
-// cluster renumbering) on cold ticks.
+// tie-break resolves identically). One persistent fleet-wide union-find
+// (serve/incremental.h), fed every shard window's advance delta, keeps the
+// global components — mirroring puts each cross-shard edge in both
+// endpoint shards, so the shard windows together hold every global path.
+// Whole components are assigned to owner shards (PartitionOf(min-entity))
+// and detected in parallel. This is what makes the N-shard replay produce
+// exactly the 1-shard confirmed clusters (up to cluster renumbering) on
+// cold ticks.
 //
-// A one-shard fleet skips everything only N > 1 needs — no components, no
-// stitch, no edge bucketing: its single owner snapshots the window range
-// directly and its PipelineResult is published as is (lp.labels kept,
-// cluster labels not renumbered), so a 1-shard tick equals a one-shot
-// pipeline run over the same window.
+// A one-shard fleet skips everything only N > 1 needs — no edge bucketing,
+// and outside incremental mode no components: its single owner snapshots
+// the window range directly and its PipelineResult is published as is
+// (lp.labels kept, cluster labels not renumbered), so a 1-shard tick
+// equals a one-shot pipeline run over the same window.
 //
 // Warm starts (TickPolicy::warm_start) use one entity-anchored semantics
 // at every N: each entity resumes the label it had last tick, re-expressed
@@ -178,9 +180,10 @@ struct ServerStats {
   int64_t checkpoints_written = 0;
   int64_t checkpoint_failures = 0;
 
-  // Incremental serving (TickPolicy::incremental).
+  // Fleet union-find (N > 1 shards or TickPolicy::incremental) and
+  // incremental reuse.
   int64_t reused_clusters = 0;        ///< cluster records reused verbatim
-  int64_t incremental_rebuilds = 0;   ///< ticks that fell back to a rebuild
+  int64_t incremental_rebuilds = 0;   ///< ticks that rebuilt the union-find
   int64_t last_dirty_components = 0;  ///< dirty components, last tick
 
   double tick_p50_seconds = 0;
@@ -391,19 +394,12 @@ class Server {
       epoch_of[g] = epoch;
       value_of[g] = v;
     }
-    /// Interning: assigns g the next dense id (its index in *entities) on
-    /// first sight this epoch; returns its id.
-    graph::VertexId Intern(graph::VertexId g,
-                           std::vector<graph::VertexId>* entities);
   };
 
-  /// Per-shard tick scratch: window range, interned active entities, and
-  /// the shard-local union-find over them (N > 1 only).
+  /// Per-shard tick scratch: the window range and, on N > 1 shards, the
+  /// edges bucketed by owner.
   struct ShardScratch {
     size_t lo = 0, hi = 0;
-    EntityMap intern;
-    std::vector<graph::VertexId> entities;  ///< local -> entity
-    std::vector<graph::VertexId> uf;        ///< local -> parent local
     /// Edges this shard contributes to each owner (src-owned copies only,
     /// canonical order within each bucket).
     std::vector<std::vector<graph::TimedEdge>> owner_buckets;
@@ -424,7 +420,6 @@ class Server {
     bool warm = false;  ///< the successful attempt was warm-started
     double snapshot_seconds = 0;
     double wall_seconds = 0;
-    int64_t num_components = 0;
     int64_t reused = 0;  ///< clusters reused verbatim (incremental delta)
   };
 
@@ -444,12 +439,6 @@ class Server {
   /// Returns false when a fatal error must stop the detection loop.
   bool RunDueTicks();
   TickOutcome RunTick(double end_time);
-  /// Computes shard k's window range and local connected components.
-  void ShardComponents(int k, double start_time, double end_time);
-  /// Serial boundary stitch: merges shard-local components into global
-  /// ones over shared entities, then assigns each component an owner
-  /// shard and counts the components per owner.
-  void StitchComponents();
   /// Scatters shard k's src-owned window edges into per-owner buckets.
   void BucketShardEdges(int k);
   /// Builds owner o's snapshot (one shard: the window range itself; N > 1:
@@ -459,15 +448,15 @@ class Server {
   /// so LP runs only on this owner's dirty components.
   void RunOwnerDetection(int o, double window_start, double window_end,
                          bool degraded, bool warm_wanted, bool use_delta);
-  /// Incremental mode: advances every shard's range cursor and updates the
-  /// fleet-wide union-find — by per-shard deltas when all are exact (and
-  /// the serve.incremental_rebuild failpoint stays quiet), by a full
-  /// multi-window rebuild otherwise. Sets shards_[k].{lo,hi} and refreshes
-  /// owner_of_ for dirty components. Returns whether the delta path ran.
+  /// N > 1 shards or incremental mode: advances every shard's range cursor
+  /// and updates the fleet-wide union-find — by per-shard deltas when all
+  /// are exact (and the serve.incremental_rebuild failpoint stays quiet), by
+  /// a full multi-window rebuild otherwise. Sets shards_[k].{lo,hi},
+  /// refreshes owner_of_ for dirty components and sets the per-shard
+  /// components gauges. Returns whether the delta path ran.
   bool UpdateIncrementalTracker(double start_time, double end_time);
   /// Full owner_of_ recompute from the tracker (rebuild/restore paths):
-  /// owner = pmap_->PartOf(component min entity), plus per-owner
-  /// component counts for the components_owned gauges.
+  /// owner = pmap_->PartOf(component min entity).
   void RefreshOwnersFromTracker();
   /// Re-seats every shard range cursor at the last completed tick and
   /// rebuilds the fleet union-find from the windows with nothing dirty
@@ -575,20 +564,16 @@ class Server {
   size_t universe_ = 0;  ///< max entity id + 1 across shards
   std::vector<ShardScratch> shards_;
   std::vector<OwnerWork> owners_;
-  EntityMap stitch_intern_;
-  std::vector<graph::VertexId> stitch_entities_;
-  std::vector<graph::VertexId> stitch_uf_;
-  std::vector<graph::VertexId> comp_min_entity_;
-  /// owner_of_[entity] — valid for entities stamped in stitch_intern_; in
-  /// incremental mode, persistent across ticks for all in-window entities
-  /// (refreshed for dirty components each tick).
+  /// owner_of_[entity] — persistent across ticks for all in-window entities
+  /// (refreshed for dirty components each tick); maintained whenever the
+  /// fleet union-find is.
   std::vector<uint8_t> owner_of_;
 
-  // Incremental serving (config_.tick.incremental; DESIGN.md §4.10): one
-  // fleet-wide persistent union-find fed by per-shard window deltas — it
-  // replaces the per-shard union-finds and the boundary stitch entirely on
-  // exact ticks — plus the carried-over label anchors and cluster-record
-  // cache that make clean components free.
+  // Connectivity and incremental serving (DESIGN.md §4.9, §4.10): one
+  // fleet-wide persistent union-find fed by per-shard window deltas, run on
+  // every N > 1 tick and every incremental tick, plus — incremental mode
+  // only — the carried-over label anchors and cluster-record cache that
+  // make clean components free.
   std::vector<graph::WindowRangeCursor> range_cursors_;  ///< one per shard
   IncrementalTracker inc_tracker_;
   /// anchor_of_[entity] = the entity whose owner-snapshot local id was this

@@ -736,6 +736,7 @@ struct GoldenSetup {
   std::vector<TimedEdge> ordered;
   ServerConfig cold, warm, inc;
 
+  GoldenSetup(const GoldenSetup&) = delete;  // configs point at `stream`
   GoldenSetup() {
     ordered = stream.edges;
     std::sort(ordered.begin(), ordered.end(), graph::CanonicalEdgeLess);

@@ -483,6 +483,72 @@ TEST_F(ShardTest, IncrementalShardedKillRestoreMatchesUninterrupted) {
             restored.value().tick + static_cast<int64_t>(got.size()));
 }
 
+/// Connected components of the window graph over edges with time in
+/// [start, end), counted per owner shard: PartOf(the component's smallest
+/// entity) under a fresh `num_shards`-way map.
+std::vector<int64_t> ComponentsPerOwner(const std::vector<TimedEdge>& ordered,
+                                        double start, double end,
+                                        int num_shards) {
+  std::map<VertexId, VertexId> parent;
+  auto find = [&](VertexId x) {
+    while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    return x;
+  };
+  for (const TimedEdge& e : ordered) {
+    if (e.time < start || e.time >= end) continue;
+    parent.try_emplace(e.src, e.src);
+    parent.try_emplace(e.dst, e.dst);
+    const VertexId a = find(e.src);
+    const VertexId b = find(e.dst);
+    // Root every component at its smallest entity.
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  }
+  const pipeline::PartitionMap map(num_shards);
+  std::vector<int64_t> counts(static_cast<size_t>(num_shards), 0);
+  for (const auto& [v, p] : parent) {
+    if (p == v) ++counts[static_cast<size_t>(map.PartOf(v))];
+  }
+  return counts;
+}
+
+// glp_serve_shard_components reports each owner's component count at
+// every tick, including incremental delta ticks that rebuild nothing.
+TEST_F(ShardTest, ComponentsGaugeTracksEveryIncrementalTick) {
+  const auto stream = pipeline::GenerateTransactions(SmallStreamConfig());
+  const auto ordered = CanonicalEdges(stream);
+  ServerConfig inc = ColdServerConfig(stream);
+  inc.tick.incremental = true;
+  constexpr int kShards = 2;
+
+  auto server = MakeServer(inc, kShards);
+  int checked = 0;
+  server->Subscribe([&](const TickResult& t) {
+    const auto want = ComponentsPerOwner(ordered, t.window_start,
+                                         t.window_end, kShards);
+    for (int k = 0; k < kShards; ++k) {
+      const double got =
+          server->metrics()
+              ->GetGauge("glp_serve_shard_components", "",
+                         {{"shard", std::to_string(k)}})
+              ->Value();
+      EXPECT_EQ(got, static_cast<double>(want[static_cast<size_t>(k)]))
+          << "tick " << t.tick << " shard " << k;
+    }
+    ++checked;
+  });
+  ASSERT_TRUE(server->Start().ok());
+  for (auto& batch : BatchEdges(ordered, 1000)) {
+    ASSERT_TRUE(server->Ingest(std::move(batch)));
+  }
+  server->Flush();
+  const ServerStats stats = server->stats();
+  server->Stop();
+  ASSERT_TRUE(server->last_error().ok()) << server->last_error().ToString();
+  EXPECT_GE(checked, 6);
+  // Every tick after the first took the delta path.
+  EXPECT_EQ(stats.incremental_rebuilds, 1);
+}
+
 // ---------------------------------------------------------------------------
 // Sharded checkpoint file format
 // ---------------------------------------------------------------------------

@@ -244,6 +244,11 @@ TEST(WireFuzzTest, NumbersSpanTheirWholeToken) {
     bad.insert(at, 1, byte);
     EXPECT_FALSE(DecodeNdjsonBatch(bad).ok()) << Show(bad);
   }
+  // Not JSON objects: a missing comma between members, a trailing comma.
+  for (const char* bad : {"{\"src\":1 \"dst\":2 \"time\":0.5}",
+                          "{\"src\":1,\"dst\":2,\"time\":0.5,}"}) {
+    EXPECT_FALSE(DecodeNdjsonBatch(bad).ok()) << Show(bad);
+  }
 }
 
 TEST(WireFuzzTest, BinaryBitFlips) {

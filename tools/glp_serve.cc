@@ -127,7 +127,8 @@ void Usage() {
       "                 label-granularity drift; 0 = never; default 32)\n"
       "  --shards <n>   hash-partition entities across n detection shards\n"
       "                 (default 1; one server for every count: with n > 1\n"
-      "                 cross-shard clusters are stitched per tick)\n"
+      "                 one fleet union-find assigns each component to an\n"
+      "                 owner shard)\n"
       "  --profile      per-phase LP profile of the last tick (one shard\n"
       "                 only; with --shards > 1 nothing is printed)\n"
       "  --quiet        suppress per-tick lines (stats JSON only)\n"
@@ -732,7 +733,7 @@ int main(int argc, char** argv) {
   }
   if (args.shards > 1) {
     std::printf("sharded fleet: %d shards (entities hash-partitioned, "
-                "cross-shard clusters stitched per tick)\n",
+                "components owned per shard via one fleet union-find)\n",
                 args.shards);
   }
   std::unique_ptr<serve::Server> server = serve::MakeServer(cfg, args.shards);
