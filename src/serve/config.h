@@ -32,10 +32,10 @@ struct TickPolicy {
   /// window). Off = every tick runs from scratch.
   bool warm_start = true;
 
-  /// Incremental tick path (DESIGN.md §4.10): maintain a persistent
-  /// cross-tick union-find over the window, and run LP + cluster
-  /// extraction only on components whose edge set changed since the last
-  /// tick — clean components reuse their previous labels and cluster
+  /// Incremental tick path (DESIGN.md §4.10): keep the persistent
+  /// cross-tick union-find over the window (N > 1 fleets keep it anyway,
+  /// to assign owners), and run LP + cluster extraction only on components
+  /// whose edge set changed since the last tick — clean components reuse their previous labels and cluster
   /// records verbatim. Published output stays byte-identical to a cold
   /// canonical replay (unlike warm_start, which trades exactness for
   /// speed), and any incremental-state fault falls back to a full rebuild

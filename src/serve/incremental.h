@@ -1,8 +1,9 @@
-// Persistent cross-tick connectivity for the incremental serve path
-// (DESIGN.md §4.10): a union-find over the entity universe that survives
-// window advances, absorbing appended edges in place and rebuilding only
-// the components that lost window edges. Its dirty-component set is what
-// bounds per-tick LP and extraction work by what actually changed —
+// Persistent cross-tick connectivity for the serve path (DESIGN.md §4.9,
+// §4.10): a union-find over the entity universe that survives window
+// advances, absorbing appended edges in place and rebuilding only the
+// components that lost window edges. It assigns components to owner
+// shards on N > 1 fleets, and its dirty-component set is what bounds an
+// incremental tick's LP and extraction work by what actually changed —
 // Gunrock's work-proportional-to-the-active-set philosophy applied to the
 // streaming tick instead of one kernel launch.
 

@@ -104,7 +104,7 @@ Server::Server(ServerConfig config, int num_shards)
   shards_.resize(num_shards);
   owners_.resize(num_shards);
   for (ShardScratch& s : shards_) s.owner_buckets.resize(num_shards);
-  // Per-shard range cursors for incremental mode. The cursors hold
+  // Per-shard range cursors feeding the fleet union-find. The cursors hold
   // pointers into windows_, so every operation that resizes windows_ —
   // restore and live resharding — rebuilds them immediately afterwards.
   range_cursors_.reserve(num_shards);
